@@ -31,7 +31,8 @@ bench:
 
 # CI gate: full build, every test suite, a flight-recorder smoke (apnad
 # trace must export a Chrome trace that trace_check validates: a JSON
-# array whose every element carries name/ph/ts), the chaos smoke
+# array whose every element carries name/ph/ts, with at least one "X"
+# stage entry carrying a numeric dur >= 0), the chaos smoke
 # (control-plane convergence under injected loss, E13), the
 # short-lifetime survivability smoke (sessions migrating across Short
 # EphID expiries under the fault mix, E14), the burst-pipeline smoke

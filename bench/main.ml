@@ -27,7 +27,6 @@ open Apna
 open Apna_crypto
 module J = Apna_obs.Json
 module M = Apna_obs.Metrics
-module Span = Apna_obs.Span
 
 let line fmt = Printf.printf (fmt ^^ "\n%!")
 
@@ -67,6 +66,25 @@ let add_json name section = json_sections := (name, section) :: !json_sections
 (* Set when a bench acceptance gate fails; the process then exits 1 so CI
    turns red. *)
 let gate_failed = ref false
+
+(* The [tier] section of a recorded baseline file, as a reader of its
+   numeric fields; [None] (after saying so) when the file or the tier is
+   missing, in which case the caller skips its regression gate. *)
+let load_baseline path tier =
+  let section =
+    try
+      let ic = open_in_bin path in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      match J.parse text with Ok doc -> J.member tier doc | Error _ -> None
+    with Sys_error _ -> None
+  in
+  match section with
+  | None ->
+      line "  baseline: %s has no '%s' tier -- regression gate skipped" path
+        tier;
+      None
+  | Some t -> Some (fun k -> Option.bind (J.member k t) J.number)
 
 (* Telemetry timelines (sampler + alert engine) accumulated by the
    experiments that attach the sampler; flushed to telemetry.json at exit
@@ -378,9 +396,9 @@ let e2 () =
   in
 
   (* Acceptance check for the observability layer itself: with the default
-     registry and span sink off (the default), the instrumented egress path
-     must cost the same as before instrumentation; with both on, the delta
-     is the price of full observability. *)
+     registry and flight recorder off (the default), the instrumented egress
+     path must cost the same as before instrumentation; the two enabled
+     rungs price metrics alone, then metrics plus the recorder. *)
   let egress () =
     match Border_router.egress_check fx.br ~now:now0 pkt with
     | Ok _ -> ()
@@ -388,20 +406,18 @@ let e2 () =
   in
   let off_ns = time_per_op ~iters:(iters 20_000) egress *. 1e9 in
   M.set_enabled M.default true;
-  Span.set_enabled Span.default true;
   let on_ns = time_per_op ~iters:(iters 20_000) egress *. 1e9 in
-  (* Third rung: the packet flight recorder on top of metrics + spans. *)
+  (* Third rung: the packet flight recorder on top of metrics. *)
   Apna_obs.Event.set_enabled Apna_obs.Event.default true;
   let events_ns = time_per_op ~iters:(iters 20_000) egress *. 1e9 in
   Apna_obs.Event.set_enabled Apna_obs.Event.default false;
   Apna_obs.Event.clear Apna_obs.Event.default;
-  Span.set_enabled Span.default false;
   M.set_enabled M.default false;
   line "";
-  line "observability overhead on egress: disabled %.0f ns/pkt, enabled %.0f"
+  line "observability overhead on egress: disabled %.0f ns/pkt, metrics %.0f"
     off_ns on_ns;
-  line "ns/pkt (metrics + spans): %+.1f%%" ((on_ns -. off_ns) /. off_ns *. 100.0);
-  line "with flight-recorder events too: %.0f ns/pkt (%+.1f%% vs disabled)"
+  line "ns/pkt (metrics only): %+.1f%%" ((on_ns -. off_ns) /. off_ns *. 100.0);
+  line "with the flight recorder too: %.0f ns/pkt (%+.1f%% vs disabled)"
     events_ns
     ((events_ns -. off_ns) /. off_ns *. 100.0);
 
@@ -2166,30 +2182,10 @@ let e16 () =
   (* Baseline regression gate: p99 per-grant issuance latency and peak
      live words vs the recorded baseline, 10% tolerance. *)
   let tier = if !quick then "quick" else "full" in
-  let baseline =
-    try
-      let ic = open_in_bin trace_scale_baseline_path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match J.parse text with
-      | Ok doc -> (
-          match J.member tier doc with
-          | Some t ->
-              let num k =
-                Option.bind (J.member k t) J.number
-              in
-              Some (num "p99_issuance_us_per_grant", num "peak_live_words")
-          | None -> None)
-      | Error _ -> None
-    with Sys_error _ -> None
-  in
   let baseline_checked =
-    match baseline with
-    | None ->
-        line "  baseline: %s has no '%s' tier -- regression gate skipped"
-          trace_scale_baseline_path tier;
-        false
-    | Some (p99_base, live_base) ->
+    match load_baseline trace_scale_baseline_path tier with
+    | None -> false
+    | Some num ->
         let check name measured base =
           match base with
           | None -> true
@@ -2203,9 +2199,13 @@ let e16 () =
               gate_failed := true;
               false
         in
-        let a = check "p99 issuance us/grant" grant_p99 p99_base in
+        let a =
+          check "p99 issuance us/grant" grant_p99
+            (num "p99_issuance_us_per_grant")
+        in
         let b =
-          check "peak live words" (float_of_int !peak_live_words) live_base
+          check "peak live words" (float_of_int !peak_live_words)
+            (num "peak_live_words")
         in
         a && b
   in
@@ -2308,7 +2308,7 @@ let burst_baseline_path = "bench/burst_baseline.json"
 let e17 () =
   banner "E17" "BURST-PIPELINE" "batched allocation-free egress (DESIGN.md, Batched fast path)";
   M.set_enabled M.default false;
-  Span.set_enabled Span.default false;
+  Apna_obs.Event.set_enabled Apna_obs.Event.default false;
   let n = Border_router.max_burst in
   let frame = 64 in
   let cores = 16.0 in
@@ -2383,8 +2383,6 @@ let e17 () =
   line "burst speedup: %.2fx vs single cached, %.2fx vs single uncached (the E2 full pipeline)"
     (single_cached_ns /. burst_cached_ns)
     (single_uncached_ns /. burst_cached_ns);
-  let overflows = Border_router.arena_overflows (fst cached).br in
-  line "arena overflows: %d (scratch stayed in the preallocated slots)" overflows;
 
   (* The allocs-per-packet gauge, demonstrated live: one instrumented
      burst, then read the series back through the registry. *)
@@ -2421,31 +2419,11 @@ let e17 () =
   (* Regression gate vs the recorded baseline, 10% tolerance on time and
      an absolute margin on the (near-zero) allocation count. *)
   let tier = if !quick then "quick" else "full" in
-  let baseline =
-    try
-      let ic = open_in_bin burst_baseline_path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match J.parse text with
-      | Ok doc -> (
-          match J.member tier doc with
-          | Some t ->
-              let num k = Option.bind (J.member k t) J.number in
-              Some
-                ( num "burst_cached_ns_per_pkt",
-                  num "burst_cached_allocs_per_pkt" )
-          | None -> None)
-      | Error _ -> None
-    with Sys_error _ -> None
-  in
   let baseline_checked =
-    match baseline with
-    | None ->
-        line "  baseline: %s has no '%s' tier -- regression gate skipped"
-          burst_baseline_path tier;
-        false
-    | Some (ns_base, allocs_base) ->
-        (match ns_base with
+    match load_baseline burst_baseline_path tier with
+    | None -> false
+    | Some num ->
+        (match num "burst_cached_ns_per_pkt" with
         | Some b when burst_cached_ns > 1.10 *. b ->
             line "GATE FAIL: cached burst regressed to %.0f ns/pkt (baseline %.0f, +%.1f%%)"
               burst_cached_ns b
@@ -2455,7 +2433,7 @@ let e17 () =
             line "  baseline ok: cached burst %.0f ns/pkt within 10%% of %.0f"
               burst_cached_ns b
         | None -> ());
-        (match allocs_base with
+        (match num "burst_cached_allocs_per_pkt" with
         | Some b when burst_cached_allocs > b +. 0.5 ->
             line "GATE FAIL: cached burst allocs/pkt %.2f above baseline %.2f + 0.5"
               burst_cached_allocs b;
@@ -2494,7 +2472,6 @@ let e17 () =
         ( "speedup_vs_single_uncached",
           J.Float (single_uncached_ns /. burst_cached_ns) );
         ("allocs_gauge_one_instrumented_burst", J.Float gauge_v);
-        ("arena_overflows", J.Int overflows);
         ("baseline_gate_checked", J.Bool baseline_checked);
       ]
   in

@@ -8,7 +8,7 @@
                Chrome trace-event export
      shutoff   run the DDoS + shutoff escalation scenario (§IV-E, §VIII-G2)
      campaign  run a misbehavior campaign against the hardened AA
-     stats     run a workload with observability on; dump metrics + spans
+     stats     run a workload with observability on; dump metrics + stages
 
    Try: dune exec bin/apnad.exe -- demo --hosts 4 --flows 6 *)
 
@@ -254,7 +254,6 @@ let workload_cmd =
 
 let trace_cmd =
   let module Link = Apna_net.Link in
-  let module Span = Apna_obs.Span in
   let module Event = Apna_obs.Event in
   let module Journey = Apna_obs.Journey in
   let flows =
@@ -281,7 +280,7 @@ let trace_cmd =
       value & opt (some string) None
       & info [ "chrome" ] ~docv:"FILE"
           ~doc:
-            "Write spans + events as Chrome trace-event JSON (load in \
+            "Write the flight recorder as Chrome trace-event JSON (load in \
              Perfetto or chrome://tracing).")
   in
   let limit =
@@ -291,8 +290,7 @@ let trace_cmd =
   in
   let run verbose seed flows loss drops chrome limit =
     setup_logs verbose;
-    (* Recorders on before the network exists so every hop is captured. *)
-    Span.set_enabled Span.default true;
+    (* Recorder on before the network exists so every hop is captured. *)
     Event.set_enabled Event.default true;
     let net = Network.create ~seed () in
     let _ = Network.add_as net 64500 () in
@@ -371,8 +369,7 @@ let trace_cmd =
     match chrome with
     | None -> ()
     | Some path ->
-        Apna_obs.Chrome_trace.write_file ~spans:Span.default
-          ~events:Event.default path;
+        Apna_obs.Chrome_trace.write_file Event.default path;
         Printf.printf "\nwrote Chrome trace to %s (open in Perfetto)\n" path
   in
   Cmd.v
@@ -995,7 +992,8 @@ let top_cmd =
 
 let stats_cmd =
   let module M = Apna_obs.Metrics in
-  let module Span = Apna_obs.Span in
+  let module Event = Apna_obs.Event in
+  let module Journey = Apna_obs.Journey in
   let flows =
     Arg.(value & opt int 5 & info [ "flows" ] ~docv:"N" ~doc:"Flows to open.")
   in
@@ -1005,9 +1003,9 @@ let stats_cmd =
   let run verbose seed flows json =
     setup_logs verbose;
     (* Observability on before the network exists, so creation-time series
-       and every packet's spans are captured. *)
+       and every packet's stages are captured. *)
     M.set_enabled M.default true;
-    Span.set_enabled Span.default true;
+    Event.set_enabled Event.default true;
     let net = Network.create ~seed () in
     (* Telemetry sampler + alert engine riding the same engine; alert-state
        lines append to the scrape text below. *)
@@ -1126,40 +1124,40 @@ let stats_cmd =
         | [] -> "(none)"
         | fs -> String.concat ", " fs);
       print_newline ();
-      Printf.printf "# trace spans (%d recorded, %d retained)\n"
-        (Span.recorded Span.default)
-        (List.length (Span.to_list Span.default));
-      (* apna_obs_spans_evicted_total, in effect: the summary below only
-         covers the retained window, so say so when spans fell out. *)
-      if Span.evicted Span.default > 0 then
+      Printf.printf "# flight recorder (%d recorded, %d retained)\n"
+        (Event.recorded Event.default)
+        (List.length (Event.to_list Event.default));
+      (* The summary below only covers the retained window, so say so when
+         events fell out. *)
+      if Event.evicted Event.default > 0 then
         Printf.printf
-          "# NOTE: apna_obs_spans_evicted_total %d — %d spans evicted \
-           (ring capacity %d); stage summary covers the newest spans only\n"
-          (Span.evicted Span.default)
-          (Span.evicted Span.default)
-          (Span.capacity Span.default);
-      Printf.printf "%-14s %8s %14s\n" "stage" "spans" "mean (sim s)";
+          "# NOTE: %d events evicted (ring capacity %d); stage summary \
+           covers the newest events only\n"
+          (Event.evicted Event.default)
+          (Event.capacity Event.default);
+      Printf.printf "%-20s %8s %14s\n" "stage" "records" "mean (sim s)";
       List.iter
-        (fun (stage, n, mean) -> Printf.printf "%-14s %8d %14.6f\n" stage n mean)
-        (Span.stage_summary Span.default);
-      (* Reconstruct one packet's path through the network: every span
-         sharing the key derived from its MAC, in finish order. *)
-      match Span.to_list Span.default with
-      | [] -> ()
-      | spans ->
-          let last = List.nth spans (List.length spans - 1) in
-          Printf.printf "\n# path of packet %Lx (span key)\n" last.Span.key;
-          List.iter
-            (fun (r : Span.record) ->
-              Printf.printf "  %.6f -> %.6f  %s\n" r.t0 r.t1 r.stage)
-            (Span.by_key Span.default last.Span.key)
+        (fun (stage, n, mean) -> Printf.printf "%-20s %8d %14.6f\n" stage n mean)
+        (Event.stage_summary Event.default);
+      (* One packet's path through the network: the newest journey that
+         reached delivery. *)
+      match
+        List.find_opt
+          (fun (j : Journey.t) -> j.outcome = Journey.Delivered)
+          (List.rev (Journey.assemble Event.default))
+      with
+      | None -> ()
+      | Some j ->
+          print_newline ();
+          print_string (Journey.render j)
     end
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
          "Run a small workload with observability enabled and dump the \
-          metrics registry (scrape text or JSON) plus per-stage trace spans.")
+          metrics registry (scrape text or JSON) plus per-stage timings \
+          from the flight recorder.")
     Term.(const run $ verbose $ seed $ flows $ json)
 
 let () =

@@ -2,7 +2,6 @@ open Apna
 open Apna_crypto
 open Apna_util.Rw
 module M = Apna_obs.Metrics
-module Span = Apna_obs.Span
 module Event = Apna_obs.Event
 
 type role = Accountability_agent | Law_enforcement | Peer_as
@@ -300,12 +299,11 @@ let g_budget t ~requester =
 
 let aid_int t = Apna_net.Addr.aid_to_int t.keys.Keys.aid
 
-let record_event t ~corr ~granted ~query =
+let record_event t ?start ~corr ~granted ~query () =
   if Event.enabled Event.default then
-    Event.(
-      record default
-        ~key:(key_of_string (Printf.sprintf "broker:%Ld" corr))
-        (Broker_decision { aid = aid_int t; granted; query }))
+    Event.record Event.default ?start
+      ~key:(Event.key_of_string (Printf.sprintf "broker:%Ld" corr))
+      (Event.Broker_decision { aid = aid_int t; granted; query })
 
 (* Execute an authorized, already-charged query against the AS's secrets
    and retention log. *)
@@ -346,7 +344,6 @@ let execute t (query : Request.query) =
 let refuse t ~now ~corr ~requester ~query_label ~reason ~remaining =
   t.refusals <- t.refusals + 1;
   M.Counter.incr (m_refusals t ~reason:(Error.kind_label reason));
-  record_event t ~corr ~granted:false ~query:query_label;
   ignore
     (Journal.append t.journal ~now
        (Printf.sprintf "refusal requester=%s query=%s reason=%s balance=%d"
@@ -354,11 +351,7 @@ let refuse t ~now ~corr ~requester ~query_label ~reason ~remaining =
   Response.Refused { corr; reason; remaining }
 
 let handle t ~now (req : Request.t) =
-  let sp =
-    Span.start_for Span.default
-      ~id:(Printf.sprintf "broker:%Ld" req.corr)
-      ~stage:"broker.handle"
-  in
+  let start = Event.start Event.default in
   let label = Request.query_label req.query in
   let remaining () = Budget.remaining t.budget ~id:req.requester ~now in
   let resp =
@@ -409,7 +402,6 @@ let handle t ~now (req : Request.t) =
               | Ok grant ->
                   t.grants <- t.grants + 1;
                   M.Counter.incr (m_grants t ~query:label);
-                  record_event t ~corr:req.corr ~granted:true ~query:label;
                   ignore
                     (Journal.append t.journal ~now
                        (Printf.sprintf
@@ -418,13 +410,17 @@ let handle t ~now (req : Request.t) =
                   Response.Granted { corr = req.corr; cost; remaining; grant })
         end
   in
-  Span.finish Span.default sp;
+  let granted =
+    match resp with Response.Granted _ -> true | Response.Refused _ -> false
+  in
+  record_event t ~start ~corr:req.corr ~granted ~query:label ();
   resp
 
 let handle_bytes t ~now payload =
   match Request.of_bytes payload with
   | Ok req -> Some (Response.to_bytes (handle t ~now req))
   | Error reason ->
+      record_event t ~corr:0L ~granted:false ~query:"malformed" ();
       Some
         (Response.to_bytes
            (refuse t ~now ~corr:0L ~requester:"?" ~query_label:"malformed"

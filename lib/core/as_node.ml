@@ -1,7 +1,7 @@
 open Apna_crypto
 open Apna_net
 module M = Apna_obs.Metrics
-module Span = Apna_obs.Span
+module E = Apna_obs.Event
 
 let ms_hid = Addr.hid_of_int 1
 let dns_hid = Addr.hid_of_int 2
@@ -290,12 +290,7 @@ and observe_certs t (pkt : Packet.t) =
       end
 
 and deliver_local t hid (pkt : Packet.t) =
-  let sp = Span.start_for Span.default ~id:pkt.header.mac ~stage:"as.deliver" in
-  if Apna_obs.Event.enabled Apna_obs.Event.default then
-    Apna_obs.Event.(
-      record default
-        ~key:(key_of_string pkt.header.mac)
-        (Deliver { aid = Addr.aid_to_int t.aid; hid = Addr.hid_to_int hid }));
+  let start = E.start E.default in
   observe_certs t pkt;
   (if Addr.hid_equal hid ms_hid then dispatch_ms t pkt
    else if Addr.hid_equal hid dns_hid then dispatch_dns t pkt
@@ -309,7 +304,10 @@ and deliver_local t hid (pkt : Packet.t) =
          Logs.debug (fun m ->
              m "AS %a: no attached host for %a" Addr.pp_aid t.aid Addr.pp_hid hid)
    end);
-  Span.finish Span.default sp
+  if E.enabled E.default then
+    E.record E.default ~start
+      ~key:(E.key_of_string pkt.header.mac)
+      (E.Deliver { aid = Addr.aid_to_int t.aid; hid = Addr.hid_to_int hid })
 
 and dispatch_ms t (pkt : Packet.t) =
   M.Counter.incr t.obs.m_ms;

@@ -1,8 +1,6 @@
 open Apna_net
 module M = Apna_obs.Metrics
-module Span = Apna_obs.Span
 module E = Apna_obs.Event
-module Arena = Apna_util.Arena
 
 type counters = {
   mutable egress_ok : int;
@@ -117,10 +115,12 @@ type t = {
   audit : Audit.t option;
   cache : cache_entry Ephid_lru.t option;
   cache_stats : cache_stats;
-  (* Burst working set, preallocated once: MAC-input scratch slots, the
+  (* Burst working set, preallocated once: the MAC-input scratch buffer
+     (one for every packet: the HMAC consumes the input before the next
+     packet overwrites it, and one hot 2 KB buffer stays in L1), the
      EphID parse buffers, and a one-slot verdict store backing the
      single-packet API. *)
-  arena : Arena.t;
+  scratch : Bytes.t;
   ephid_scratch : Ephid.scratch;
   one : Burst.t;
   obs : obs;
@@ -128,7 +128,7 @@ type t = {
 
 let default_cache_capacity = 8192
 let max_burst = 32
-let arena_slot_bytes = 2048
+let scratch_bytes = 2048
 
 let create ~(keys : Keys.as_keys) ~host_info ~revoked ~topology ?audit
     ?(ephid_cache = default_cache_capacity) () =
@@ -146,7 +146,7 @@ let create ~(keys : Keys.as_keys) ~host_info ~revoked ~topology ?audit
       (if ephid_cache <= 0 then None
        else Some (Ephid_lru.create ~capacity:ephid_cache));
     cache_stats = { hits = 0; misses = 0; invalidations = 0 };
-    arena = Arena.create ~slots:max_burst ~slot_bytes:arena_slot_bytes;
+    scratch = Bytes.create scratch_bytes;
     ephid_scratch = Ephid.scratch ();
     one = Burst.create ~capacity:1 ();
     obs =
@@ -191,7 +191,6 @@ let counters t = t.stats
 let ephid_cache_stats t = t.cache_stats
 let ephid_cache_size t = match t.cache with None -> 0 | Some c -> Ephid_lru.size c
 let revoked t = t.revoked
-let arena_overflows t = Arena.overflows t.arena
 let drop_registrations t = t.drop_registrations
 
 (* Drop verdicts travel as an exception so the accept path stays free of
@@ -252,7 +251,7 @@ let validate_slow t ~now raw =
 let revalidate t cache ~now raw =
   let ephid, info, entry = validate_slow t ~now raw in
   (* Intern the key: [raw] may be a view into a caller-owned buffer that
-     is rewritten after this call returns (burst arenas do exactly that),
+     is rewritten after this call returns (burst buffers do exactly that),
      while the cache entry outlives the call. An aliased key would be
      mutated in place under the table and corrupt the LRU — removals
      miss, stale entries pile up, and after a resize lookups can pair a
@@ -314,13 +313,13 @@ let check_ephid t ~now raw =
           revalidate t cache ~now raw
     end
 
-let egress_pipeline t ~now ~scratch (pkt : Packet.t) =
+let egress_pipeline t ~now (pkt : Packet.t) =
   if not (Addr.aid_equal pkt.header.src_aid t.keys.aid) then
     reject (Error.Malformed "egress: foreign source AID");
   let e = check_ephid t ~now pkt.header.src_ephid in
   let mac_ok =
     match e.verifier with
-    | Some v -> Pkt_auth.verify_in ~scratch v pkt
+    | Some v -> Pkt_auth.verify_in ~scratch:t.scratch v pkt
     | None -> Pkt_auth.verify ~auth_key:e.entry.kha.auth pkt
   in
   if not mac_ok then reject Error.Bad_mac;
@@ -334,12 +333,12 @@ let egress_pipeline t ~now ~scratch (pkt : Packet.t) =
   | None -> ());
   Addr.hid_to_int e.info.hid
 
-(* One egress verdict, written into [b] at [i]. Span and event follow the
-   single-packet pipeline exactly; both are load-and-branch no-ops while
-   observability is off. *)
-let egress_into t ~now ~scratch (b : Burst.t) i (pkt : Packet.t) =
-  let sp = Span.start_for Span.default ~id:pkt.header.mac ~stage:"br.egress" in
-  (match egress_pipeline t ~now ~scratch pkt with
+(* One egress verdict, written into [b] at [i]. The stage record follows
+   the single-packet pipeline exactly; it is a load-and-branch no-op while
+   the recorder is off. *)
+let egress_into t ~now (b : Burst.t) i (pkt : Packet.t) =
+  let start = E.start E.default in
+  (match egress_pipeline t ~now pkt with
   | hid ->
       b.errs.(i) <- None;
       b.hids.(i) <- hid
@@ -347,14 +346,13 @@ let egress_into t ~now ~scratch (b : Burst.t) i (pkt : Packet.t) =
       record_drop t e;
       b.errs.(i) <- Some e;
       b.hids.(i) <- -1);
-  Span.finish Span.default sp;
   if E.enabled E.default then begin
     let outcome =
       match b.errs.(i) with
       | None -> E.Egress_ok
       | Some e -> E.Egress_drop (Error.kind_label e)
     in
-    E.record E.default
+    E.record E.default ~start
       ~key:(E.key_of_string pkt.header.mac)
       (E.Br_egress { aid = Addr.aid_to_int t.keys.aid; outcome })
   end
@@ -378,7 +376,7 @@ let ingress_pipeline t ~now (b : Burst.t) i (pkt : Packet.t) =
   end
 
 let ingress_into t ~now (b : Burst.t) i (pkt : Packet.t) =
-  let sp = Span.start_for Span.default ~id:pkt.header.mac ~stage:"br.ingress" in
+  let start = E.start E.default in
   b.hids.(i) <- -1;
   b.fwds.(i) <- -1;
   (match ingress_pipeline t ~now b i pkt with
@@ -386,7 +384,6 @@ let ingress_into t ~now (b : Burst.t) i (pkt : Packet.t) =
   | exception Rejected e ->
       record_drop t e;
       b.errs.(i) <- Some e);
-  Span.finish Span.default sp;
   if E.enabled E.default then begin
     let outcome =
       match b.errs.(i) with
@@ -394,7 +391,7 @@ let ingress_into t ~now (b : Burst.t) i (pkt : Packet.t) =
       | None when b.fwds.(i) >= 0 -> E.Ingress_forward b.fwds.(i)
       | None -> E.Ingress_deliver
     in
-    E.record E.default
+    E.record E.default ~start
       ~key:(E.key_of_string pkt.header.mac)
       (E.Br_ingress { aid = Addr.aid_to_int t.keys.aid; outcome })
   end
@@ -410,14 +407,8 @@ let egress_burst t ~now pkts ~n b =
   Burst.ensure b n;
   let measure = M.enabled M.default in
   let w0 = if measure then Gc.minor_words () else 0. in
-  (* One scratch slot for the whole burst: the MAC input is consumed by
-     the HMAC before the next packet overwrites it, and reusing one hot
-     2 KB buffer keeps the working set in L1 (32 distinct slots
-     measurably thrash it). *)
-  Arena.reset t.arena;
-  let scratch = Arena.checkout t.arena in
   for i = 0 to n - 1 do
-    egress_into t ~now ~scratch b i pkts.(i)
+    egress_into t ~now b i pkts.(i)
   done;
   if measure then gauge_allocs t ~w0 ~n
 
@@ -436,9 +427,7 @@ let ingress_burst t ~now pkts ~n b =
    verdict store. Safe because both wrappers run to completion before the
    caller regains control — nothing re-enters the router mid-verdict. *)
 let egress_check t ~now (pkt : Packet.t) =
-  Arena.reset t.arena;
-  let scratch = Arena.checkout t.arena in
-  egress_into t ~now ~scratch t.one 0 pkt;
+  egress_into t ~now t.one 0 pkt;
   Burst.egress_result t.one 0
 
 let ingress_check t ~now (pkt : Packet.t) =

@@ -108,16 +108,15 @@ module Burst : sig
 end
 
 val max_burst : int
-(** 32 — the burst size the preallocated arena covers. Larger [n] still
-    works; packets beyond the arena fall back to allocating scratch
-    (counted by {!arena_overflows}). *)
+(** 32 — the default {!Burst} capacity. Larger [n] still works; the
+    store grows on demand. *)
 
 val egress_burst :
   t -> now:int -> Apna_net.Packet.t array -> n:int -> Burst.t -> unit
 (** [egress_burst t ~now pkts ~n b] runs the full outbound pipeline on
     [pkts.(0..n-1)], writing one verdict per packet into [b] (grown as
     needed). Equivalent to [n] calls of {!egress_check} in order — same
-    verdicts, same counters, same spans and events — but the cached
+    verdicts, same counters, same flight-recorder events — but the cached
     steady state allocates nothing per packet. Not reentrant: one burst
     at a time per router. @raise Invalid_argument if [n] exceeds
     [Array.length pkts]. *)
@@ -133,9 +132,5 @@ val egress_check :
 
 val ingress_check :
   t -> now:int -> Apna_net.Packet.t -> (ingress_decision, Error.t) result
-
-val arena_overflows : t -> int
-(** Scratch checkouts that outran the preallocated arena and fell back
-    to fresh allocation (0 in steady state). *)
 
 val revoked : t -> Revocation.t

@@ -1,7 +1,6 @@
 open Apna_crypto
 open Apna_net
 module M = Apna_obs.Metrics
-module Span = Apna_obs.Span
 module E = Apna_obs.Event
 
 let m_rpc_retries =
@@ -365,13 +364,13 @@ and rpc_timer_fired t tbl key =
         rpc.attempts <- rpc.attempts + 1;
         t.rpc_retries <- t.rpc_retries + 1;
         M.Counter.incr m_rpc_retries;
-        let span =
-          Span.start_for Span.default
-            ~id:(Printf.sprintf "rpc:%Ld" key)
-            ~stage:"host.rpc.retransmit"
-        in
+        let start = E.start E.default in
         rpc.resend ();
-        Span.finish Span.default span;
+        if E.enabled E.default then
+          E.record E.default ~start
+            ~key:(E.key_of_string (Printf.sprintf "rpc:%Ld" key))
+            (E.Rpc_retransmit
+               { host = t.host_name; what = rpc.what; attempt = rpc.attempts });
         arm_rpc t tbl key rpc
       end
 
@@ -781,13 +780,8 @@ let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
   if I64_tbl.mem t.migrating conn_id then ()
   else begin
     I64_tbl.replace t.migrating conn_id ();
-    let span =
-      Span.start_for Span.default
-        ~id:(Printf.sprintf "conn:%Ld" conn_id)
-        ~stage:"host.session.migrate"
-    in
+    let start = E.start E.default in
     request_ephid_r t (fun result ->
-        Span.finish Span.default span;
         match result with
         | Error e ->
             (* Brownout: keep riding the current endpoint until its hard
@@ -820,7 +814,7 @@ let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
                         conn_id reason);
                   (match t.att with
                   | Some att when E.enabled E.default ->
-                      E.record E.default
+                      E.record E.default ~start
                         ~key:(E.key_of_string (Printf.sprintf "conn:%Ld" conn_id))
                         (E.Migrate
                            {

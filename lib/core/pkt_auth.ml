@@ -18,7 +18,7 @@ let verify ~auth_key (pkt : Packet.t) =
 type verifier = {
   prepared : Apna_crypto.Hmac.Sha256.prepared;
   digest : Bytes.t;
-  key : string;  (** kept for the rare scratch-overflow fallback *)
+  key : string;  (** fallback for packets larger than the scratch buffer *)
 }
 
 let make_verifier ~auth_key =
@@ -30,7 +30,7 @@ let make_verifier ~auth_key =
 
 let verify_in ~scratch v (pkt : Packet.t) =
   if Bytes.length scratch < Packet.wire_size pkt then
-    (* Packet larger than the arena slot: take the allocating path
+    (* Packet larger than the scratch buffer: take the allocating path
        rather than constrain the MTU here. *)
     verify ~auth_key:v.key pkt
   else begin

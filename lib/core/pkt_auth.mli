@@ -24,6 +24,6 @@ val make_verifier : auth_key:string -> verifier
 
 val verify_in : scratch:Bytes.t -> verifier -> Apna_net.Packet.t -> bool
 (** [verify_in ~scratch v pkt] is {!verify} with the MAC input assembled
-    in [scratch] — the border router passes an arena slot. Falls back to
-    the allocating path when [scratch] is smaller than the packet's wire
-    size. *)
+    in [scratch] — the border router passes its preallocated buffer.
+    Falls back to the allocating path when [scratch] is smaller than the
+    packet's wire size. *)

@@ -14,7 +14,7 @@ val feed : ctx -> string -> unit
 
 val feed_bytes : ctx -> Bytes.t -> off:int -> len:int -> unit
 (** Like {!feed} over a [Bytes] range, without copying the range out
-    first — the burst fast path hashes arena buffers through this.
+    first — the burst fast path hashes its scratch buffer through this.
     @raise Invalid_argument on an out-of-bounds range. *)
 
 val finalize : ctx -> string

@@ -1,6 +1,6 @@
 (* Chrome trace-event array export (the format Perfetto and
-   chrome://tracing load): spans as "ph":"X" complete events, lifecycle
-   events as "ph":"i" instants, ts/dur in microseconds. *)
+   chrome://tracing load): stage records as "ph":"X" complete events,
+   other lifecycle events as "ph":"i" instants, ts/dur in microseconds. *)
 
 let us seconds = seconds *. 1e6
 
@@ -19,67 +19,50 @@ let pid_of_kind = function
   | Event.Broker_decision { aid; _ } ->
       aid
   | Event.Link_transit { src; _ } -> src
-  | Event.Gw_encap _ | Event.Gw_decap _ | Event.Alert_state _ -> 0
-
-let span_entry (r : Span.record) =
-  ( r.t0,
-    Json.Obj
-      [
-        ("name", Json.Str r.stage);
-        ("cat", Json.Str "span");
-        ("ph", Json.Str "X");
-        ("ts", Json.Float (us r.t0));
-        ("dur", Json.Float (us (r.t1 -. r.t0)));
-        ("pid", Json.Int 0);
-        ("tid", Json.Int (tid_of_key r.key));
-        ( "args",
-          Json.Obj [ ("key", Json.Str (key_hex r.key)); ("seq", Json.Int r.seq) ]
-        );
-      ] )
+  | Event.Gw_encap _ | Event.Gw_decap _ | Event.Alert_state _
+  | Event.Rpc_retransmit _ ->
+      0
 
 let event_entry (r : Event.record) =
-  ( r.time,
+  let ts, phase =
+    match r.start with
+    | Some t0 ->
+        (t0, [ ("ph", Json.Str "X"); ("dur", Json.Float (us (r.time -. t0))) ])
+    | None -> (r.time, [ ("ph", Json.Str "i"); ("s", Json.Str "t") ])
+  in
+  let fields =
+    [
+      ("ts", Json.Float (us ts));
+      ("pid", Json.Int (pid_of_kind r.kind));
+      ("tid", Json.Int (tid_of_key r.key));
+      ( "args",
+        Json.Obj
+          [
+            ("key", Json.Str (key_hex r.key));
+            ("seq", Json.Int r.seq);
+            ("where", Json.Str (Event.where r.kind));
+            ("detail", Json.Str (Event.describe r.kind));
+          ] );
+    ]
+  in
+  ( ts,
     Json.Obj
-      [
-        ("name", Json.Str (Event.stage_label r.kind));
-        ("cat", Json.Str "event");
-        ("ph", Json.Str "i");
-        ("s", Json.Str "t");
-        ("ts", Json.Float (us r.time));
-        ("pid", Json.Int (pid_of_kind r.kind));
-        ("tid", Json.Int (tid_of_key r.key));
-        ( "args",
-          Json.Obj
-            [
-              ("key", Json.Str (key_hex r.key));
-              ("seq", Json.Int r.seq);
-              ("where", Json.Str (Event.where r.kind));
-              ("detail", Json.Str (Event.describe r.kind));
-            ] );
-      ] )
+      ((("name", Json.Str (Event.stage_label r.kind))
+       :: ("cat", Json.Str "event") :: phase)
+      @ fields) )
 
-let to_json ?spans ?events () =
-  let span_entries =
-    match spans with
-    | None -> []
-    | Some sink -> List.map span_entry (Span.to_list sink)
-  in
-  let event_entries =
-    match events with
-    | None -> []
-    | Some sink -> List.map event_entry (Event.to_list sink)
-  in
-  span_entries @ event_entries
+let to_json sink =
+  List.map event_entry (Event.to_list sink)
   |> List.stable_sort (fun (ta, _) (tb, _) -> compare ta tb)
   |> List.map snd
   |> fun entries -> Json.List entries
 
-let to_string ?spans ?events () = Json.to_string (to_json ?spans ?events ())
+let to_string sink = Json.to_string (to_json sink)
 
-let write_file ?spans ?events path =
+let write_file sink path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (to_string ?spans ?events ());
+      output_string oc (to_string sink);
       output_char oc '\n')

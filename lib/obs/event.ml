@@ -1,6 +1,6 @@
-(* Packet flight recorder: typed lifecycle events in a bounded ring.
-   Mirrors the Span sink's structure (default-off, fixed ring, global
-   seq counter) so the two share clocks, keys and eviction semantics. *)
+(* Packet flight recorder: typed lifecycle events in a bounded ring
+   (default-off, fixed ring, global seq counter). A stage is an event
+   that also carries its start time. *)
 
 type fate = Delivered | Lost | Duplicated | Reordered | Queue_drop
 
@@ -23,10 +23,18 @@ type kind =
   | Migrate of { aid : int; host : string; reason : string }
   | Broker_decision of { aid : int; granted : bool; query : string }
   | Alert_state of { rule : string; series : string; state : string }
+  | Rpc_retransmit of { host : string; what : string; attempt : int }
 
-type record = { key : int64; time : float; seq : int; kind : kind }
+type record = {
+  key : int64;
+  time : float;
+  start : float option;
+  seq : int;
+  kind : kind;
+}
 
-let dummy = { key = 0L; time = 0.0; seq = -1; kind = Shutoff { aid = 0 } }
+let dummy =
+  { key = 0L; time = 0.0; start = None; seq = -1; kind = Shutoff { aid = 0 } }
 
 type sink = {
   mutable on : bool;
@@ -44,14 +52,26 @@ let set_enabled t on = t.on <- on
 let enabled t = t.on
 let set_clock t clock = t.clock <- clock
 
-let record t ~key kind =
+let start t = if t.on then t.clock () else Float.nan
+
+let record t ?(start = Float.nan) ~key kind =
   if t.on then begin
-    let r = { key; time = t.clock (); seq = t.written; kind } in
+    let start = if Float.is_nan start then None else Some start in
+    let r = { key; time = t.clock (); start; seq = t.written; kind } in
     t.ring.(t.written mod Array.length t.ring) <- r;
     t.written <- t.written + 1
   end
 
-let key_of_string = Span.key_of_string
+(* FNV-1a, 64-bit. *)
+let key_of_string s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    s;
+  !h
+
 let recorded t = t.written
 let capacity t = Array.length t.ring
 let evicted t = max 0 (t.written - Array.length t.ring)
@@ -88,6 +108,7 @@ let stage_label = function
   | Migrate _ -> "host.migrate"
   | Broker_decision _ -> "broker.decide"
   | Alert_state _ -> "alert"
+  | Rpc_retransmit _ -> "host.rpc.retransmit"
 
 let where = function
   | Host_send { aid; _ }
@@ -101,6 +122,7 @@ let where = function
   | Link_transit { src; dst; _ } -> Printf.sprintf "AS%d->AS%d" src dst
   | Gw_encap { gateway } | Gw_decap { gateway } -> "gw:" ^ gateway
   | Alert_state { series; _ } -> "alerts:" ^ series
+  | Rpc_retransmit { host; _ } -> "host:" ^ host
 
 let describe = function
   | Host_send { aid; host } -> Printf.sprintf "host %s @ AS%d" host aid
@@ -127,3 +149,29 @@ let describe = function
         query aid
   | Alert_state { rule; series; state } ->
       Printf.sprintf "alert %s -> %s on %s" rule state series
+  | Rpc_retransmit { host; what; attempt } ->
+      Printf.sprintf "host %s resent %s (attempt %d)" host what attempt
+
+let stage_summary t =
+  let tbl : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      match r.start with
+      | None -> ()
+      | Some t0 ->
+          let stage = stage_label r.kind in
+          let n, total =
+            match Hashtbl.find_opt tbl stage with
+            | Some cell -> cell
+            | None ->
+                let cell = (ref 0, ref 0.0) in
+                Hashtbl.replace tbl stage cell;
+                cell
+          in
+          incr n;
+          total := !total +. (r.time -. t0))
+    (to_list t);
+  Hashtbl.fold
+    (fun stage (n, total) acc -> (stage, !n, !total /. float_of_int !n) :: acc)
+    tbl []
+  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)

@@ -1,19 +1,19 @@
 (** Packet flight recorder: typed lifecycle events in a bounded ring.
 
-    Where {!Span} answers "how long did stage S take", an event answers
-    "what happened to this packet": it records one step of a packet's
-    journey — submitted by a host, accepted or dropped at a border router,
-    placed on (or lost on) an inter-AS link, delivered, encapsulated by a
-    gateway, named in a shutoff. Events sharing a key are assembled into an
-    end-to-end causal timeline by {!Journey} and exported alongside spans
-    by {!Chrome_trace}.
+    An event answers "what happened to this packet": it records one step
+    of a packet's journey — submitted by a host, accepted or dropped at a
+    border router, placed on (or lost on) an inter-AS link, delivered,
+    encapsulated by a gateway, named in a shutoff. A {e stage} is an event
+    that also carries the time its step began ({!start}), so the same
+    record answers "how long did stage S take" ({!stage_summary}). Events
+    sharing a key are assembled into an end-to-end causal timeline by
+    {!Journey} and exported by {!Chrome_trace}.
 
-    The key is the same FNV-1a 64-bit hash of the packet MAC that {!Span}
-    uses, so spans and events for one packet line up. A control-plane
+    The key is an FNV-1a 64-bit hash of the packet MAC. A control-plane
     retransmission reuses the original packet bytes (same MAC), so all
     attempts of one request land in one journey.
 
-    Like {!Span}, a sink starts disabled and recording is bounded-memory:
+    A sink starts disabled and recording is bounded-memory:
     instrumentation sites guard with [if Event.enabled Event.default then
     ...], one mutable load and a branch while the recorder is off — no
     hashing, no allocation, no clock read. *)
@@ -67,8 +67,20 @@ type kind =
       (** An {!Alert} rule instance changed state ("pending", "firing",
           "resolved"); keyed on the rule name so one rule's transitions
           form a timeline. *)
+  | Rpc_retransmit of { host : string; what : string; attempt : int }
+      (** A host's request timer fired and it resent the request
+          (keyed on ["rpc:<correlation id>"], so all retries of one
+          request share a timeline); [attempt] counts from 2. *)
 
-type record = { key : int64; time : float; seq : int; kind : kind }
+type record = {
+  key : int64;
+  time : float;
+  start : float option;
+      (** Stages only: the clock when the stage began; [time] is when it
+          ended. [None] for instant events. *)
+  seq : int;
+  kind : kind;
+}
 (** [time] is the sink clock (simulated seconds inside a simulation);
     [seq] is the global record order, for deterministic reconstruction. *)
 
@@ -87,13 +99,19 @@ val set_clock : sink -> (unit -> float) -> unit
 (** Clock stamped onto records. Only consulted while enabled;
     [Network.create] points the default sink at simulated time. *)
 
-val record : sink -> key:int64 -> kind -> unit
-(** Append one event. No-op while disabled — but callers on hot paths
-    should guard with {!enabled} so the [kind] is never even built. *)
+val start : sink -> float
+(** Opens a stage: the clock reading while enabled; [nan] without reading
+    the clock while disabled. Pass it to {!record} when the stage ends. *)
+
+val record : sink -> ?start:float -> key:int64 -> kind -> unit
+(** Append one event. With [start] (from {!start}) it is a stage that
+    ran from [start] to now; a [nan] start — the stage opened while the
+    sink was off — records an instant. No-op while disabled — but callers
+    on hot paths should guard with {!enabled} so the [kind] is never even
+    built. *)
 
 val key_of_string : string -> int64
-(** FNV-1a 64-bit hash — identical to {!Span.key_of_string}, so the same
-    packet MAC yields the same key in both sinks. *)
+(** FNV-1a 64-bit hash, for deriving keys from packet MACs or names. *)
 
 val recorded : sink -> int
 (** Total events ever recorded (may exceed capacity). *)
@@ -110,6 +128,10 @@ val to_list : sink -> record list
 val by_key : sink -> int64 -> record list
 (** Retained events for one key, in record order — a packet's journey. *)
 
+val stage_summary : sink -> (string * int * float) list
+(** Per-stage ({!stage_label}, count, mean duration) over the retained
+    stage records, sorted by label. Instant events are not counted. *)
+
 val clear : sink -> unit
 
 (** {2 Rendering helpers} *)
@@ -119,7 +141,8 @@ val fate_label : fate -> string
 val stage_label : kind -> string
 (** Short stage name: ["host.send"], ["br.egress"], ["link.transit"],
     ["br.ingress"], ["deliver"], ["gw.encap"], ["gw.decap"],
-    ["shutoff"]. *)
+    ["shutoff"], ["host.migrate"], ["broker.decide"], ["alert"],
+    ["host.rpc.retransmit"]. *)
 
 val where : kind -> string
 (** Location tag: ["AS64500"], ["AS64500->AS64501"], ["gw:lan-a"]. *)

@@ -42,9 +42,10 @@ let of_events events =
   let order = ref [] in
   List.iter
     (fun (r : Event.record) ->
-      match Hashtbl.find_opt tbl r.Event.key with
-      | Some acc -> acc := r :: !acc
-      | None ->
+      match (r.kind, Hashtbl.find_opt tbl r.Event.key) with
+      | Event.Rpc_retransmit _, _ -> ()
+      | _, Some acc -> acc := r :: !acc
+      | _, None ->
           Hashtbl.replace tbl r.Event.key (ref [ r ]);
           order := r.Event.key :: !order)
     events;

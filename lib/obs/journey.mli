@@ -30,7 +30,10 @@ val classify : Event.record list -> outcome
 
 val of_events : Event.record list -> t list
 (** Group any event list by key. Journeys appear in order of each key's
-    first retained event; each journey's events are seq-sorted. *)
+    first retained event; each journey's events are seq-sorted.
+    {!Event.Rpc_retransmit} stages are left out: they time a host's
+    retry timer, not a packet hop, and the resent packet's own hops
+    already appear in its journey. *)
 
 val assemble : Event.sink -> t list
 (** [of_events (Event.to_list sink)]. *)

@@ -6,7 +6,7 @@
 open Apna
 module Net = Apna_net
 module M = Apna_obs.Metrics
-module Span = Apna_obs.Span
+module Event = Apna_obs.Event
 
 let qtest ?(count = 50) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
@@ -153,8 +153,8 @@ let equivalence_tests =
         !ok && same_router_state seq bat)
   in
   [
-    (* Lists up to 40 > max_burst = 32 also exercise store growth and the
-       arena-overflow fallback inside a single burst. *)
+    (* Lists up to 40 > max_burst = 32 also exercise store growth inside
+       a single burst. *)
     egress_equiv ~cache:8192 "egress burst == sequential (cached)";
     egress_equiv ~cache:0 "egress burst == sequential (cache disabled)";
     ingress_equiv ~cache:8192 "ingress burst == sequential (cached)";
@@ -367,13 +367,14 @@ let alloc_tests =
         let n = Border_router.max_burst in
         let pkts = Array.init n (fun _ -> egress_packet fx E_valid) in
         let store = Border_router.Burst.create () in
-        let m_was = M.enabled M.default and s_was = Span.enabled Span.default in
+        let m_was = M.enabled M.default
+        and e_was = Event.enabled Event.default in
         M.set_enabled M.default false;
-        Span.set_enabled Span.default false;
+        Event.set_enabled Event.default false;
         Fun.protect
           ~finally:(fun () ->
             M.set_enabled M.default m_was;
-            Span.set_enabled Span.default s_was)
+            Event.set_enabled Event.default e_was)
           (fun () ->
             for _ = 1 to 3 do
               Border_router.egress_burst br ~now:now0 pkts ~n store
@@ -388,9 +389,7 @@ let alloc_tests =
             in
             Alcotest.(check bool)
               (Printf.sprintf "%.3f minor words/pkt <= 0.5" per_pkt)
-              true (per_pkt <= 0.5);
-            Alcotest.(check int) "no arena overflow" 0
-              (Border_router.arena_overflows br)));
+              true (per_pkt <= 0.5)));
   ]
 
 let () =

@@ -2,13 +2,13 @@
    E13 topology yields a journey whose hop sequence is exactly
    host → egress → link → ingress → … → deliver, a packet killed by
    injected loss yields the same prefix ending in a tagged loss event,
-   and the Chrome-trace export of a live run parses as trace-event JSON. *)
+   and the Chrome-trace export of a live run parses as trace-event JSON
+   with the router and delivery stages as complete ("X") events. *)
 
 open Apna
 open Apna_net
 module Event = Apna_obs.Event
 module Journey = Apna_obs.Journey
-module Span = Apna_obs.Span
 module Json = Apna_obs.Json
 module Chrome_trace = Apna_obs.Chrome_trace
 
@@ -53,15 +53,11 @@ let make_world ?first_hop_faults () =
    recorder off, so bootstrap and EphID traffic leave no events behind. *)
 let with_recorder f =
   Event.clear Event.default;
-  Span.clear Span.default;
   Event.set_enabled Event.default true;
-  Span.set_enabled Span.default true;
   Fun.protect
     ~finally:(fun () ->
       Event.set_enabled Event.default false;
-      Span.set_enabled Span.default false;
-      Event.clear Event.default;
-      Span.clear Span.default)
+      Event.clear Event.default)
     f
 
 let stages (j : Journey.t) =
@@ -150,14 +146,24 @@ let flight_tests =
         with_recorder (fun () ->
             Host.connect alice ~remote:ep.cert ~data0:"probe" (fun _ -> ());
             Network.run net;
-            let text =
-              Chrome_trace.to_string ~spans:Span.default ~events:Event.default
-                ()
-            in
+            let text = Chrome_trace.to_string Event.default in
             match Json.parse text with
             | Error e -> Alcotest.failf "trace does not parse: %s" e
             | Ok (Json.List entries) ->
                 if entries = [] then Alcotest.fail "trace is empty";
+                (* The egress, ingress and delivery stages each export as a
+                   complete event carrying a duration. *)
+                List.iter
+                  (fun stage ->
+                    let is_stage entry =
+                      Json.member "name" entry = Some (Json.Str stage)
+                      && Json.member "ph" entry = Some (Json.Str "X")
+                      && Option.bind (Json.member "dur" entry) Json.number
+                         <> None
+                    in
+                    if not (List.exists is_stage entries) then
+                      Alcotest.failf "no \"X\" entry for %s" stage)
+                  [ "br.egress"; "br.ingress"; "deliver" ];
                 List.iter
                   (fun entry ->
                     (match Json.member "name" entry with

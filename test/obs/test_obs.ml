@@ -1,5 +1,5 @@
 (* Tests for the observability subsystem: metrics registry, JSON codec and
-   trace-span ring buffer. Everything here uses private registries/sinks so
+   the flight-recorder ring buffer. Everything here uses private registries/sinks so
    the default instances other suites may touch stay untouched. *)
 
 open Apna_obs
@@ -192,134 +192,164 @@ let json_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Spans *)
-
-let span_tests =
-  [
-    Alcotest.test_case "records a packet's path in order" `Quick (fun () ->
-        let s = Span.create_sink ~enabled:true () in
-        let t = ref 0.0 in
-        Span.set_clock s (fun () -> !t);
-        let key = Span.key_of_string "mac-bytes" in
-        List.iter
-          (fun stage ->
-            let sp = Span.start s ~key ~stage in
-            t := !t +. 1.0;
-            Span.finish s sp)
-          [ "host.encrypt"; "br.egress"; "br.ingress"; "as.deliver" ];
-        (* An unrelated packet interleaved in the ring. *)
-        Span.record s ~key:(Span.key_of_string "other") ~stage:"br.egress"
-          ~t0:0.0 ~t1:0.1;
-        let path = Span.by_key s key in
-        Alcotest.(check (list string))
-          "stages in finish order"
-          [ "host.encrypt"; "br.egress"; "br.ingress"; "as.deliver" ]
-          (List.map (fun (r : Span.record) -> r.stage) path);
-        List.iter
-          (fun (r : Span.record) ->
-            Alcotest.(check (float 1e-9)) "duration" 1.0 (r.t1 -. r.t0))
-          path);
-    Alcotest.test_case "disabled sink stores nothing, reads no clock" `Quick
-      (fun () ->
-        let s = Span.create_sink () in
-        Span.set_clock s (fun () -> Alcotest.fail "clock read while disabled");
-        let sp = Span.start s ~key:1L ~stage:"x" in
-        Span.finish s sp;
-        Span.record s ~key:1L ~stage:"x" ~t0:0.0 ~t1:1.0;
-        Alcotest.(check int) "empty" 0 (Span.recorded s);
-        Alcotest.(check bool) "start is none" true (sp == Span.none));
-    Alcotest.test_case "ring keeps only the newest spans" `Quick (fun () ->
-        let s = Span.create_sink ~capacity:4 ~enabled:true () in
-        for i = 1 to 10 do
-          Span.record s ~key:(Int64.of_int i) ~stage:"st" ~t0:0.0 ~t1:1.0
-        done;
-        Alcotest.(check int) "all recorded" 10 (Span.recorded s);
-        let kept = Span.to_list s in
-        Alcotest.(check int) "capacity retained" 4 (List.length kept);
-        Alcotest.(check (list int))
-          "newest, oldest first" [ 7; 8; 9; 10 ]
-          (List.map (fun (r : Span.record) -> Int64.to_int r.key) kept));
-    Alcotest.test_case "stage_summary aggregates by stage" `Quick (fun () ->
-        let s = Span.create_sink ~enabled:true () in
-        Span.record s ~key:1L ~stage:"b" ~t0:0.0 ~t1:2.0;
-        Span.record s ~key:2L ~stage:"b" ~t0:0.0 ~t1:4.0;
-        Span.record s ~key:3L ~stage:"a" ~t0:0.0 ~t1:1.0;
-        match Span.stage_summary s with
-        | [ ("a", 1, m_a); ("b", 2, m_b) ] ->
-            Alcotest.(check (float 1e-9)) "a mean" 1.0 m_a;
-            Alcotest.(check (float 1e-9)) "b mean" 3.0 m_b
-        | other -> Alcotest.failf "unexpected summary (%d stages)" (List.length other));
-    Alcotest.test_case "clear resets retention, not identity" `Quick (fun () ->
-        let s = Span.create_sink ~enabled:true () in
-        Span.record s ~key:1L ~stage:"x" ~t0:0.0 ~t1:1.0;
-        Span.clear s;
-        Alcotest.(check int) "nothing retained" 0 (List.length (Span.to_list s)));
-    Alcotest.test_case "key_of_string is deterministic and spreads" `Quick
-      (fun () ->
-        Alcotest.(check bool) "equal inputs" true
-          (Span.key_of_string "abc" = Span.key_of_string "abc");
-        Alcotest.(check bool) "distinct inputs" false
-          (Span.key_of_string "abc" = Span.key_of_string "abd");
-        (* FNV-1a of the empty string is the offset basis. *)
-        Alcotest.(check int64) "offset basis" 0xcbf29ce484222325L
-          (Span.key_of_string ""));
-    Alcotest.test_case "evicted and capacity expose wraparound" `Quick
-      (fun () ->
-        let s = Span.create_sink ~capacity:4 ~enabled:true () in
-        Alcotest.(check int) "capacity" 4 (Span.capacity s);
-        Alcotest.(check int) "nothing evicted yet" 0 (Span.evicted s);
-        for i = 1 to 10 do
-          Span.record s ~key:(Int64.of_int i) ~stage:"st" ~t0:0.0 ~t1:1.0
-        done;
-        Alcotest.(check int) "evicted = written - capacity" 6 (Span.evicted s);
-        Span.clear s;
-        Alcotest.(check int) "clear resets eviction" 0 (Span.evicted s));
-    qtest "ring retains min(written, capacity) spans in seq order" ~count:300
-      QCheck2.Gen.(
-        pair (int_range 1 16) (list_size (int_range 0 64) (int_range 0 5)))
-      (fun (capacity, ops) ->
-        let s = Span.create_sink ~capacity ~enabled:true () in
-        List.iteri
-          (fun i k ->
-            Span.record s ~key:(Int64.of_int k)
-              ~stage:(string_of_int (k mod 3))
-              ~t0:(float_of_int i)
-              ~t1:(float_of_int i +. 1.0))
-          ops;
-        let written = List.length ops in
-        let retained = Span.to_list s in
-        let seqs = List.map (fun (r : Span.record) -> r.seq) retained in
-        (* Exactly the newest min(written, capacity) records, oldest
-           first: seqs are the final contiguous window. *)
-        let expect_n = min written capacity in
-        List.length retained = expect_n
-        && seqs = List.init expect_n (fun i -> written - expect_n + i)
-        && Span.evicted s = max 0 (written - capacity));
-    Alcotest.test_case "by_key stays causally ordered across a wrap" `Quick
-      (fun () ->
-        let s = Span.create_sink ~capacity:4 ~enabled:true () in
-        let key = Span.key_of_string "the-packet" in
-        let filler = Span.key_of_string "noise" in
-        Span.record s ~key ~stage:"s1" ~t0:0.0 ~t1:0.1;
-        Span.record s ~key:filler ~stage:"f" ~t0:0.2 ~t1:0.3;
-        Span.record s ~key:filler ~stage:"f" ~t0:0.4 ~t1:0.5;
-        Span.record s ~key ~stage:"s2" ~t0:0.6 ~t1:0.7;
-        Span.record s ~key:filler ~stage:"f" ~t0:0.8 ~t1:0.9;
-        Span.record s ~key:filler ~stage:"f" ~t0:1.0 ~t1:1.1;
-        (* The ring has wrapped: s1 is gone, s2 retained. *)
-        Span.record s ~key ~stage:"s3" ~t0:1.2 ~t1:1.3;
-        Alcotest.(check int) "three spans evicted" 3 (Span.evicted s);
-        Alcotest.(check (list string))
-          "hops in causal order, truncated from the front" [ "s2"; "s3" ]
-          (List.map (fun (r : Span.record) -> r.stage) (Span.by_key s key)));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Flight-recorder events and journeys *)
 
 let ev sink ~key ?(at = 0.0) kind =
   Event.set_clock sink (fun () -> at);
   Event.record sink ~key kind
+
+(* A stage record: opened at [t0], recorded at [t1]. *)
+let stage sink ~key ~t0 ~t1 kind =
+  Event.set_clock sink (fun () -> t0);
+  let start = Event.start sink in
+  Event.set_clock sink (fun () -> t1);
+  Event.record sink ~start ~key kind
+
+let egress_ok = Event.Br_egress { aid = 100; outcome = Event.Egress_ok }
+
+(* ------------------------------------------------------------------ *)
+(* Stages: events with a start time — the spans of a Chrome trace *)
+
+let span_tests =
+  [
+    Alcotest.test_case "records a packet's path in order" `Quick (fun () ->
+        let s = Event.create_sink ~enabled:true () in
+        let t = ref 0.0 in
+        Event.set_clock s (fun () -> !t);
+        let key = Event.key_of_string "mac-bytes" in
+        List.iter
+          (fun kind ->
+            let start = Event.start s in
+            t := !t +. 1.0;
+            Event.record s ~start ~key kind)
+          [
+            Event.Host_send { aid = 100; host = "h" };
+            egress_ok;
+            Event.Br_ingress { aid = 200; outcome = Event.Ingress_deliver };
+            Event.Deliver { aid = 200; hid = 1 };
+          ];
+        (* An unrelated packet interleaved in the ring. *)
+        stage s ~key:(Event.key_of_string "other") ~t0:0.0 ~t1:0.1 egress_ok;
+        let path = Event.by_key s key in
+        Alcotest.(check (list string))
+          "stages in record order"
+          [ "host.send"; "br.egress"; "br.ingress"; "deliver" ]
+          (List.map (fun (r : Event.record) -> Event.stage_label r.kind) path);
+        List.iter
+          (fun (r : Event.record) ->
+            match r.start with
+            | Some t0 -> Alcotest.(check (float 1e-9)) "duration" 1.0 (r.time -. t0)
+            | None -> Alcotest.fail "stage recorded without a start")
+          path);
+    Alcotest.test_case "stage_summary aggregates by stage" `Quick (fun () ->
+        let s = Event.create_sink ~enabled:true () in
+        stage s ~key:1L ~t0:0.0 ~t1:2.0 egress_ok;
+        stage s ~key:2L ~t0:0.0 ~t1:4.0 egress_ok;
+        stage s ~key:3L ~t0:0.0 ~t1:1.0
+          (Event.Br_ingress { aid = 200; outcome = Event.Ingress_deliver });
+        (* Instants carry no duration and stay out of the summary. *)
+        ev s ~key:4L ~at:9.0 (Event.Host_send { aid = 100; host = "h" });
+        match Event.stage_summary s with
+        | [ ("br.egress", 2, m_e); ("br.ingress", 1, m_i) ] ->
+            Alcotest.(check (float 1e-9)) "egress mean" 3.0 m_e;
+            Alcotest.(check (float 1e-9)) "ingress mean" 1.0 m_i
+        | other -> Alcotest.failf "unexpected summary (%d stages)" (List.length other));
+    Alcotest.test_case "disabled sink stores nothing, reads no clock" `Quick
+      (fun () ->
+        let s = Event.create_sink () in
+        Event.set_clock s (fun () -> Alcotest.fail "clock read while disabled");
+        let start = Event.start s in
+        Event.record s ~start ~key:1L egress_ok;
+        Alcotest.(check bool) "stage start is nan" true (Float.is_nan start);
+        Alcotest.(check int) "empty" 0 (Event.recorded s));
+    Alcotest.test_case "ring keeps only the newest spans" `Quick (fun () ->
+        let s = Event.create_sink ~capacity:4 ~enabled:true () in
+        for i = 1 to 10 do
+          stage s ~key:(Int64.of_int i) ~t0:0.0 ~t1:1.0 egress_ok
+        done;
+        Alcotest.(check int) "all recorded" 10 (Event.recorded s);
+        let kept = Event.to_list s in
+        Alcotest.(check (list (pair int bool)))
+          "newest, oldest first, each with its start"
+          [ (7, true); (8, true); (9, true); (10, true) ]
+          (List.map
+             (fun (r : Event.record) -> (Int64.to_int r.key, r.start <> None))
+             kept));
+    Alcotest.test_case "clear resets retention, not identity" `Quick (fun () ->
+        let s = Event.create_sink ~capacity:4 ~enabled:true () in
+        stage s ~key:1L ~t0:0.0 ~t1:1.0 egress_ok;
+        Event.clear s;
+        Alcotest.(check int) "nothing retained" 0 (List.length (Event.to_list s));
+        Alcotest.(check int) "capacity kept" 4 (Event.capacity s);
+        Alcotest.(check bool) "still enabled" true (Event.enabled s));
+    Alcotest.test_case "evicted and capacity expose wraparound" `Quick
+      (fun () ->
+        let s = Event.create_sink ~capacity:4 ~enabled:true () in
+        Alcotest.(check int) "capacity" 4 (Event.capacity s);
+        Alcotest.(check int) "nothing evicted yet" 0 (Event.evicted s);
+        for i = 1 to 10 do
+          stage s ~key:(Int64.of_int i) ~t0:0.0 ~t1:1.0 egress_ok
+        done;
+        Alcotest.(check int) "evicted = written - capacity" 6 (Event.evicted s);
+        Event.clear s;
+        Alcotest.(check int) "clear resets eviction" 0 (Event.evicted s));
+    Alcotest.test_case "key_of_string is deterministic and spreads" `Quick
+      (fun () ->
+        Alcotest.(check bool) "equal inputs" true
+          (Event.key_of_string "abc" = Event.key_of_string "abc");
+        Alcotest.(check bool) "distinct inputs" false
+          (Event.key_of_string "abc" = Event.key_of_string "abd");
+        (* FNV-1a of the empty string is the offset basis. *)
+        Alcotest.(check int64) "offset basis" 0xcbf29ce484222325L
+          (Event.key_of_string ""));
+    qtest "ring retains min(written, capacity) spans in seq order" ~count:300
+      QCheck2.Gen.(
+        pair (int_range 1 16) (list_size (int_range 0 64) (int_range 0 5)))
+      (fun (capacity, ops) ->
+        let s = Event.create_sink ~capacity ~enabled:true () in
+        List.iteri
+          (fun i k ->
+            let key = Int64.of_int k and kind = Event.Deliver { aid = 1; hid = k } in
+            if k mod 2 = 0 then
+              stage s ~key ~t0:(float_of_int i) ~t1:(float_of_int i +. 1.0) kind
+            else ev s ~key ~at:(float_of_int i) kind)
+          ops;
+        let written = List.length ops in
+        let retained = Event.to_list s in
+        let seqs = List.map (fun (r : Event.record) -> r.seq) retained in
+        (* Exactly the newest min(written, capacity) records, oldest
+           first: seqs are the final contiguous window, and each keeps
+           its start time (stages) or lack of one (instants). *)
+        let expect_n = min written capacity in
+        List.length retained = expect_n
+        && seqs = List.init expect_n (fun i -> written - expect_n + i)
+        && List.for_all
+             (fun (r : Event.record) ->
+               (r.start <> None) = (Int64.rem r.key 2L = 0L))
+             retained
+        && Event.evicted s = max 0 (written - capacity));
+    Alcotest.test_case "by_key stays causally ordered across a wrap" `Quick
+      (fun () ->
+        let s = Event.create_sink ~capacity:4 ~enabled:true () in
+        let key = Event.key_of_string "the-packet" in
+        let filler = Event.key_of_string "noise" in
+        let hop aid = Event.Deliver { aid; hid = 0 } in
+        stage s ~key ~t0:0.0 ~t1:0.1 (hop 1);
+        stage s ~key:filler ~t0:0.2 ~t1:0.3 (hop 0);
+        stage s ~key:filler ~t0:0.4 ~t1:0.5 (hop 0);
+        stage s ~key ~t0:0.6 ~t1:0.7 (hop 2);
+        stage s ~key:filler ~t0:0.8 ~t1:0.9 (hop 0);
+        stage s ~key:filler ~t0:1.0 ~t1:1.1 (hop 0);
+        (* The ring has wrapped: hop 1 is gone, hop 2 retained. *)
+        stage s ~key ~t0:1.2 ~t1:1.3 (hop 3);
+        Alcotest.(check int) "three records evicted" 3 (Event.evicted s);
+        Alcotest.(check (list string))
+          "hops in causal order, truncated from the front" [ "AS2"; "AS3" ]
+          (List.map (fun (r : Event.record) -> Event.where r.kind) (Event.by_key s key)));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Events and journeys *)
 
 let event_tests =
   [
@@ -338,15 +368,12 @@ let event_tests =
         Alcotest.(check int) "recorded" 5 (Event.recorded s);
         Alcotest.(check int) "capacity" 3 (Event.capacity s);
         Alcotest.(check int) "evicted" 2 (Event.evicted s);
-        Alcotest.(check (list int))
-          "newest retained, oldest first" [ 3; 4; 5 ]
+        Alcotest.(check (list (pair int bool)))
+          "newest retained, oldest first, all instants"
+          [ (3, false); (4, false); (5, false) ]
           (List.map
-             (fun (r : Event.record) -> Int64.to_int r.key)
+             (fun (r : Event.record) -> (Int64.to_int r.key, r.start <> None))
              (Event.to_list s)));
-    Alcotest.test_case "keys match the span hash" `Quick (fun () ->
-        Alcotest.(check int64) "same FNV-64"
-          (Span.key_of_string "mac")
-          (Event.key_of_string "mac"));
     Alcotest.test_case "delivered journey renders a waterfall" `Quick
       (fun () ->
         let s = Event.create_sink ~enabled:true () in
@@ -456,6 +483,9 @@ let event_tests =
         ev s ~key:1L (Event.Deliver { aid = 1; hid = 1 });
         ev s ~key:2L (Event.Deliver { aid = 1; hid = 2 });
         ev s ~key:3L (Event.Host_send { aid = 1; host = "h" });
+        (* A retry-timer stage is not a packet hop and forms no journey. *)
+        stage s ~key:4L ~t0:0.0 ~t1:0.0
+          (Event.Rpc_retransmit { host = "h"; what = "ephid"; attempt = 2 });
         Alcotest.(check (list (pair string int)))
           "sorted by count"
           [ ("delivered", 2); ("in-flight", 1) ]
@@ -468,17 +498,16 @@ let event_tests =
 let chrome_tests =
   [
     Alcotest.test_case "export is valid trace-event JSON" `Quick (fun () ->
-        let spans = Span.create_sink ~enabled:true () in
-        Span.record spans ~key:1L ~stage:"br.egress" ~t0:0.001 ~t1:0.002;
         let events = Event.create_sink ~enabled:true () in
-        ev events ~key:1L ~at:0.001
-          (Event.Br_egress { aid = 100; outcome = Event.Egress_ok });
+        stage events ~key:1L ~t0:0.001 ~t1:0.002 egress_ok;
+        ev events ~key:1L ~at:0.002
+          (Event.Br_ingress { aid = 200; outcome = Event.Ingress_deliver });
         ev events ~key:1L ~at:0.003 (Event.Deliver { aid = 200; hid = 1 });
-        let text = Chrome_trace.to_string ~spans ~events () in
+        let text = Chrome_trace.to_string events in
         match Json.parse text with
         | Error e -> Alcotest.failf "parse: %s" e
         | Ok (Json.List entries) ->
-            Alcotest.(check int) "one span + two events" 3 (List.length entries);
+            Alcotest.(check int) "one stage + two events" 3 (List.length entries);
             List.iter
               (fun entry ->
                 (match Json.member "name" entry with
@@ -498,7 +527,7 @@ let chrome_tests =
         ev events ~key:1L ~at:0.5 (Event.Deliver { aid = 300; hid = 1 });
         ev events ~key:1L ~at:0.1
           (Event.Host_send { aid = 100; host = "h" });
-        match Chrome_trace.to_json ~events () with
+        match Chrome_trace.to_json events with
         | Json.List [ first; second ] ->
             let ts e = Option.get (Json.number (Option.get (Json.member "ts" e))) in
             Alcotest.(check bool) "sorted" true (ts first <= ts second);
@@ -509,11 +538,16 @@ let chrome_tests =
             Alcotest.(check (float 1e-6)) "us conversion" 100000.0 (ts first)
         | _ -> Alcotest.fail "expected two entries");
     Alcotest.test_case "span entries carry a duration" `Quick (fun () ->
-        let spans = Span.create_sink ~enabled:true () in
-        Span.record spans ~key:1L ~stage:"st" ~t0:1.0 ~t1:1.5;
-        match Chrome_trace.to_json ~spans () with
+        let events = Event.create_sink ~enabled:true () in
+        stage events ~key:1L ~t0:1.0 ~t1:1.5 egress_ok;
+        match Chrome_trace.to_json events with
         | Json.List [ entry ] -> (
-            match Json.number (Option.get (Json.member "dur" entry)) with
+            Alcotest.(check bool) "complete event" true
+              (Json.member "ph" entry = Some (Json.Str "X"));
+            let num k = Json.number (Option.get (Json.member k entry)) in
+            (* Stamped at the stage's start, in microseconds. *)
+            Alcotest.(check (option (float 1e-3))) "ts us" (Some 1e6) (num "ts");
+            match num "dur" with
             | Some dur -> Alcotest.(check (float 1e-3)) "dur us" 500000.0 dur
             | None -> Alcotest.fail "dur not a number")
         | _ -> Alcotest.fail "expected one entry");
