@@ -14,14 +14,15 @@
    Absolute numbers are not expected to match the paper (pure OCaml vs
    AES-NI + DPDK); the shapes are. See EXPERIMENTS.md.
 
-   Every run also emits a machine-readable BENCH_results.json next to the
-   tables (schema in docs/OBSERVABILITY.md): per-frame-size throughput,
-   per-stage latency percentiles, the observability-overhead check, and a
-   dump of the default metrics registry.
+   Every run also emits one machine-readable BENCH_results.json next to
+   the tables (schema apna-bench/2 in docs/OBSERVABILITY.md): each
+   experiment's section, one row per acceptance gate, the telemetry
+   timelines, and a dump of the default metrics registry.
 
    Run all:        dune exec bench/main.exe
    Run a subset:   dune exec bench/main.exe -- E1 E2
-   Smoke run:      dune exec bench/main.exe -- --quick *)
+   Smoke run:      dune exec bench/main.exe -- --quick [E13 ...]
+   Anything else on the command line is a usage error (exit 2). *)
 
 open Apna
 open Apna_crypto
@@ -30,32 +31,10 @@ module M = Apna_obs.Metrics
 
 let line fmt = Printf.printf (fmt ^^ "\n%!")
 
-(* --quick: reduced iteration counts and only the experiments that feed the
-   JSON export — the CI smoke target. *)
+(* --quick: reduced iteration counts and, with no experiment ids, only the
+   experiments that feed the JSON export — the CI smoke target. *)
 let quick = ref false
 
-(* --faults: run only the E13 chaos sweep — the CI chaos-smoke target. *)
-let faults_only = ref false
-
-(* --lifetimes: run only the E14 lifetime sweep — the CI survivability
-   smoke target. *)
-let lifetimes_only = ref false
-
-(* --storm: run only the E15 warrant-storm sweep — the CI broker smoke
-   target. *)
-let storm_only = ref false
-
-(* --trace-scale: run only the E16 million-host trace replay; combine
-   with --quick for the reduced CI smoke tier. *)
-let trace_scale_only = ref false
-
-(* --burst: run only the E17 batched fast-path comparison; combine with
-   --quick for the CI smoke tier. *)
-let burst_only = ref false
-
-(* --campaign: run only the E18 adversarial-campaign sweep; combine with
-   --quick for the single-tier CI smoke. *)
-let campaign_only = ref false
 let iters n = if !quick then max 20 (n / 20) else n
 
 (* Sections accumulated by experiments as they run; flushed to
@@ -63,9 +42,28 @@ let iters n = if !quick then max 20 (n / 20) else n
 let json_sections : (string * J.t) list ref = ref []
 let add_json name section = json_sections := (name, section) :: !json_sections
 
-(* Set when a bench acceptance gate fails; the process then exits 1 so CI
-   turns red. *)
-let gate_failed = ref false
+(* Acceptance gates. [gate] is the only place a verdict is decided into
+   the run: it prints one "gate ok:" / "GATE FAIL:" line and records one
+   row for the [gates] array of BENCH_results.json. [ok] is the caller's
+   pass rule over [measured] and [bound]; any failed row makes the process
+   exit 1 so CI turns red. *)
+type gate_row = {
+  experiment : string;
+  name : string;
+  measured : float;
+  bound : float;
+  ok : bool;
+}
+
+let gates : gate_row list ref = ref []
+
+let gate ?(alert = false) experiment name ~measured ~bound ok fmt =
+  Printf.ksprintf
+    (fun detail ->
+      if ok then line "  %sgate ok: %s" (if alert then "alert " else "") detail
+      else line "GATE FAIL: %s" detail;
+      gates := { experiment; name; measured; bound; ok } :: !gates)
+    fmt
 
 (* The [tier] section of a recorded baseline file, as a reader of its
    numeric fields; [None] (after saying so) when the file or the tier is
@@ -87,8 +85,8 @@ let load_baseline path tier =
   | Some t -> Some (fun k -> Option.bind (J.member k t) J.number)
 
 (* Telemetry timelines (sampler + alert engine) accumulated by the
-   experiments that attach the sampler; flushed to telemetry.json at exit
-   when non-empty (schema in docs/OBSERVABILITY.md). *)
+   experiments that attach the sampler; flushed into the [telemetry] object
+   of BENCH_results.json at exit (schema in docs/OBSERVABILITY.md). *)
 let telemetry_sections : (string * J.t) list ref = ref []
 
 let add_telemetry name section =
@@ -114,6 +112,11 @@ let time_per_op ?(warmup = 3) ~iters f =
     f ()
   done;
   (Sys.time () -. t0) /. float_of_int iters
+
+let median samples =
+  let s = Array.copy samples in
+  Array.sort compare s;
+  s.(Array.length s / 2)
 
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures *)
@@ -428,11 +431,6 @@ let e2 () =
      so it weighs most at small frames where the (unavoidable, size-
      proportional) packet-MAC verify is cheapest. Medians of monotonic
      batch samples keep the comparison out of timer noise. *)
-  let median samples =
-    let s = Array.copy samples in
-    Array.sort compare s;
-    s.(Array.length s / 2)
-  in
   let fxc = make_br_fixture ~ephid_cache:8192 () in
   let mpps ns = cores /. ns *. 1e3 in
   let cache_rows =
@@ -1358,12 +1356,14 @@ let e13 () =
             | fs -> String.concat ", " fs)
       | None -> ())
     rows;
-  if List.mem "replay-flood" fired10 && List.mem "link-loss" fired10 then
-    line "  alert gate ok: replay-flood + link-loss fired at 10%% loss"
-  else begin
-    line "GATE FAIL: replay-flood/link-loss did not fire at 10%% loss";
-    gate_failed := true
-  end;
+  let fired_both =
+    List.filter (fun r -> List.mem r fired10) [ "replay-flood"; "link-loss" ]
+  in
+  let ok = List.length fired_both = 2 in
+  gate ~alert:true "E13" "alert.replay-flood+link-loss"
+    ~measured:(float_of_int (List.length fired_both))
+    ~bound:2.0 ok "replay-flood + link-loss %s at 10%% loss"
+    (if ok then "fired" else "did not both fire");
   add_telemetry "fault_sweep"
     (J.Obj
        [
@@ -1635,10 +1635,12 @@ let e15 () =
     let throughput = float_of_int requests /. (elapsed_ns /. 1e9) in
     let j = B.journal broker in
     let verified = Result.is_ok (B.verify_journal broker) in
-    if not verified then begin
-      line "GATE FAIL: journal chain broken at capacity %d" capacity;
-      gate_failed := true
-    end;
+    gate "E15"
+      (Printf.sprintf "journal_chain_verified.cap%d" capacity)
+      ~measured:(if verified then 1.0 else 0.0) ~bound:1.0 verified
+      "journal chain %s at capacity %d"
+      (if verified then "verified" else "broken")
+      capacity;
     let refusal_total = Hashtbl.fold (fun _ n a -> n + a) refusals 0 in
     ( capacity, requests, !grants, refusal_total,
       Hashtbl.fold (fun k n a -> (k, n) :: a) refusals [],
@@ -1708,11 +1710,6 @@ let e15 () =
       ~batch:32
       (fun () -> ignore (Border_router.ingress_check br ~now pkt))
   in
-  let median samples =
-    let s = Array.copy samples in
-    Array.sort compare s;
-    s.(Array.length s / 2)
-  in
   let p99 samples =
     let s = Array.copy samples in
     Array.sort compare s;
@@ -1731,12 +1728,11 @@ let e15 () =
     w99 b99;
   (* 10% gate with a small absolute floor so sub-microsecond timer jitter
      cannot flip CI. *)
-  if w50 -. b50 > Float.max (0.10 *. b50) 150.0 then begin
-    line "GATE FAIL: idle broker added %.0f ns to the cached ingress path"
-      (w50 -. b50);
-    gate_failed := true
-  end
-  else line "  gate ok: idle broker within 10%% of broker-free ingress";
+  let added = w50 -. b50 and allowed = Float.max (0.10 *. b50) 150.0 in
+  gate "E15" "idle_broker_ingress_p50_added_ns" ~measured:added ~bound:allowed
+    (not (added > allowed))
+    "idle broker added %.0f ns to the cached ingress path (bound max(10%%, 150 ns) = %.0f ns)"
+    added allowed;
 
   (* Telemetry phase: one more storm, this time paced on the event engine
      with the sampler + alert engine attached, against a deliberately tiny
@@ -1772,12 +1768,13 @@ let e15 () =
     (match List.sort String.compare drain_fired with
     | [] -> "(none)"
     | fs -> String.concat ", " fs);
-  if Apna_obs.Alert.has_fired (Telemetry.alerts tel) "broker-budget-drain"
-  then line "  alert gate ok: broker-budget-drain fired during the drain"
-  else begin
-    line "GATE FAIL: broker-budget-drain did not fire during the drain";
-    gate_failed := true
-  end;
+  let drained =
+    Apna_obs.Alert.has_fired (Telemetry.alerts tel) "broker-budget-drain"
+  in
+  gate ~alert:true "E15" "alert.broker-budget-drain"
+    ~measured:(if drained then 1.0 else 0.0) ~bound:1.0 drained
+    "broker-budget-drain %s during the drain"
+    (if drained then "fired" else "did not fire");
   add_telemetry "warrant_storm"
     (J.Obj
        [
@@ -1815,7 +1812,6 @@ let e15 () =
                ("no_broker_p50_ns", J.Float b50);
                ("idle_broker_p99_ns", J.Float w99);
                ("no_broker_p99_ns", J.Float b99);
-               ("gate_ok", J.Bool (not !gate_failed));
              ] );
        ])
 
@@ -2169,46 +2165,31 @@ let e16 () =
     drain_audit audit_drain_cost drain_revoked drain_ms;
   line "  live heap after drain: %d words" live_after_drain;
   let paper_peak = paper.peak_rate in
-  let peak_ok = peak_fps >= paper_peak in
-  if peak_ok then
-    line "  gate ok: %.0f flows/s >= paper peak %.0f flows/s (%.1fx headroom)"
-      peak_fps paper_peak (peak_fps /. paper_peak)
-  else begin
-    line "GATE FAIL: peak %.0f flows/s below the paper's %.0f flows/s" peak_fps
-      paper_peak;
-    gate_failed := true
-  end;
+  gate "E16" "peak_flows_per_s" ~measured:peak_fps ~bound:paper_peak
+    (peak_fps >= paper_peak)
+    "peak %.0f flows/s vs paper peak %.0f flows/s (%.1fx headroom)" peak_fps
+    paper_peak (peak_fps /. paper_peak);
 
   (* Baseline regression gate: p99 per-grant issuance latency and peak
      live words vs the recorded baseline, 10% tolerance. *)
   let tier = if !quick then "quick" else "full" in
-  let baseline_checked =
-    match load_baseline trace_scale_baseline_path tier with
-    | None -> false
-    | Some num ->
-        let check name measured base =
-          match base with
-          | None -> true
-          | Some b when measured <= 1.10 *. b ->
-              line "  baseline ok: %s %.0f within 10%% of %.0f" name measured b;
-              true
-          | Some b ->
-              line "GATE FAIL: %s regressed to %.0f (baseline %.0f, +%.1f%%)"
-                name measured b
-                ((measured -. b) /. b *. 100.0);
-              gate_failed := true;
-              false
-        in
-        let a =
-          check "p99 issuance us/grant" grant_p99
-            (num "p99_issuance_us_per_grant")
-        in
-        let b =
-          check "peak live words" (float_of_int !peak_live_words)
-            (num "peak_live_words")
-        in
-        a && b
-  in
+  (match load_baseline trace_scale_baseline_path tier with
+  | None -> ()
+  | Some num ->
+      List.iter
+        (fun (key, measured) ->
+          Option.iter
+            (fun b ->
+              gate "E16" ("baseline." ^ key) ~measured ~bound:(1.10 *. b)
+                (measured <= 1.10 *. b)
+                "%s %.0f vs baseline %.0f (%+.1f%%, bound +10%%)" key measured
+                b
+                ((measured -. b) /. b *. 100.0))
+            (num key))
+        [
+          ("p99_issuance_us_per_grant", grant_p99);
+          ("peak_live_words", float_of_int !peak_live_words);
+        ]);
 
   let section =
     J.Obj
@@ -2265,7 +2246,6 @@ let e16 () =
               ("wall_s", J.Float (!peak_ns /. 1e9));
               ("flows_per_s", J.Float peak_fps);
               ("paper_peak_flows_per_s", J.Float paper_peak);
-              ("gate_ok", J.Bool peak_ok);
             ] );
         ( "memory",
           J.Obj
@@ -2275,7 +2255,6 @@ let e16 () =
                 J.Float
                   (float_of_int !peak_live_words /. float_of_int population) );
             ] );
-        ("baseline_gate_checked", J.Bool baseline_checked);
       ]
   in
   Telemetry.tick_now tel;
@@ -2288,12 +2267,6 @@ let e16 () =
          ("timeline", Telemetry.export tel);
        ]);
   add_json "trace_scale" section;
-  (* Standalone artifact for CI upload. *)
-  let oc = open_out "trace_scale.json" in
-  output_string oc (J.to_string ~pretty:true section);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote trace_scale.json";
   M.set_enabled M.default false
 
 (* ------------------------------------------------------------------ *)
@@ -2313,11 +2286,6 @@ let e17 () =
   let frame = 64 in
   let cores = 16.0 in
   let samples = if !quick then 100 else 400 in
-  let median s =
-    let s = Array.copy s in
-    Array.sort compare s;
-    s.(Array.length s / 2)
-  in
   let build ~cached =
     let fx = make_br_fixture ~ephid_cache:(if cached then 8192 else 0) () in
     let pkts = Array.init n (fun _ -> make_packet fx ~frame) in
@@ -2401,49 +2369,39 @@ let e17 () =
 
   (* In-run gates: the cached burst steady state is allocation-free, and
      batching never costs throughput. *)
-  if burst_cached_allocs > 0.5 then begin
-    line "GATE FAIL: cached burst allocates %.2f minor words/pkt (want ~0)"
-      burst_cached_allocs;
-    gate_failed := true
-  end
-  else line "gate ok: cached burst allocs/pkt %.2f <= 0.5" burst_cached_allocs;
-  if burst_cached_ns > 1.10 *. single_cached_ns then begin
-    line "GATE FAIL: burst %.0f ns/pkt slower than single-packet %.0f ns/pkt"
-      burst_cached_ns single_cached_ns;
-    gate_failed := true
-  end
-  else
-    line "gate ok: burst %.0f ns/pkt <= single-packet %.0f ns/pkt (+10%% margin)"
-      burst_cached_ns single_cached_ns;
+  gate "E17" "burst_cached_allocs_per_pkt" ~measured:burst_cached_allocs
+    ~bound:0.5
+    (not (burst_cached_allocs > 0.5))
+    "cached burst allocs/pkt %.2f (bound 0.5)" burst_cached_allocs;
+  gate "E17" "burst_vs_single_cached_ns_per_pkt" ~measured:burst_cached_ns
+    ~bound:(1.10 *. single_cached_ns)
+    (not (burst_cached_ns > 1.10 *. single_cached_ns))
+    "burst %.0f ns/pkt vs single-packet %.0f ns/pkt (bound +10%%)"
+    burst_cached_ns single_cached_ns;
 
   (* Regression gate vs the recorded baseline, 10% tolerance on time and
      an absolute margin on the (near-zero) allocation count. *)
   let tier = if !quick then "quick" else "full" in
-  let baseline_checked =
-    match load_baseline burst_baseline_path tier with
-    | None -> false
-    | Some num ->
-        (match num "burst_cached_ns_per_pkt" with
-        | Some b when burst_cached_ns > 1.10 *. b ->
-            line "GATE FAIL: cached burst regressed to %.0f ns/pkt (baseline %.0f, +%.1f%%)"
-              burst_cached_ns b
-              ((burst_cached_ns -. b) /. b *. 100.0);
-            gate_failed := true
-        | Some b ->
-            line "  baseline ok: cached burst %.0f ns/pkt within 10%% of %.0f"
-              burst_cached_ns b
-        | None -> ());
-        (match num "burst_cached_allocs_per_pkt" with
-        | Some b when burst_cached_allocs > b +. 0.5 ->
-            line "GATE FAIL: cached burst allocs/pkt %.2f above baseline %.2f + 0.5"
-              burst_cached_allocs b;
-            gate_failed := true
-        | Some b ->
-            line "  baseline ok: cached burst allocs/pkt %.2f within %.2f + 0.5"
-              burst_cached_allocs b
-        | None -> ());
-        true
-  in
+  (match load_baseline burst_baseline_path tier with
+  | None -> ()
+  | Some num ->
+      Option.iter
+        (fun b ->
+          gate "E17" "baseline.burst_cached_ns_per_pkt"
+            ~measured:burst_cached_ns ~bound:(1.10 *. b)
+            (not (burst_cached_ns > 1.10 *. b))
+            "cached burst %.0f ns/pkt vs baseline %.0f (%+.1f%%, bound +10%%)"
+            burst_cached_ns b
+            ((burst_cached_ns -. b) /. b *. 100.0))
+        (num "burst_cached_ns_per_pkt");
+      Option.iter
+        (fun b ->
+          gate "E17" "baseline.burst_cached_allocs_per_pkt"
+            ~measured:burst_cached_allocs ~bound:(b +. 0.5)
+            (not (burst_cached_allocs > b +. 0.5))
+            "cached burst allocs/pkt %.2f vs baseline %.2f (bound +0.5)"
+            burst_cached_allocs b)
+        (num "burst_cached_allocs_per_pkt"));
   let section =
     J.Obj
       [
@@ -2472,16 +2430,9 @@ let e17 () =
         ( "speedup_vs_single_uncached",
           J.Float (single_uncached_ns /. burst_cached_ns) );
         ("allocs_gauge_one_instrumented_burst", J.Float gauge_v);
-        ("baseline_gate_checked", J.Bool baseline_checked);
       ]
   in
-  add_json "burst_pipeline" section;
-  (* Standalone artifact for CI upload. *)
-  let oc = open_out "burst.json" in
-  output_string oc (J.to_string ~pretty:true section);
-  output_char oc '\n';
-  close_out oc;
-  line "wrote burst.json"
+  add_json "burst_pipeline" section
 
 (* ------------------------------------------------------------------ *)
 (* E18: adversarial-scale accountability (§IV-E, §VIII-G2 under attack) *)
@@ -3002,62 +2953,44 @@ let e18_tier ~fraction ~acceptance =
         report);
   (* ---- Acceptance gates (1% tier) --------------------------------- *)
   if acceptance then begin
-    if delivery_ratio >= 0.99 then
-      line "  gate ok: legit cross-AS delivery %.2f%% >= 99%%"
-        (delivery_ratio *. 100.0)
-    else begin
-      line "GATE FAIL: legit delivery %.2f%% under attack (need >= 99%%)"
-        (delivery_ratio *. 100.0);
-      gate_failed := true
-    end;
-    if shed > 0 && queue_peak <= aa_limits.Accountability.queue_cap then
-      line "  gate ok: bounded AA backlog (peak %d <= cap %d, %d shed)"
-        queue_peak aa_limits.Accountability.queue_cap shed
-    else begin
-      line "GATE FAIL: AA backlog unbounded or never shed (peak %d, cap %d, shed %d)"
-        queue_peak aa_limits.Accountability.queue_cap shed;
-      gate_failed := true
-    end;
-    if aa_requests = aa_accounted then
-      line "  gate ok: AA ledger balances (%d = granted+refused+shed+queued)"
-        aa_requests
-    else begin
-      line "GATE FAIL: AA ledger leak: %d requests vs %d accounted"
-        aa_requests aa_accounted;
-      gate_failed := true
-    end;
-    if drops_total = dropped_counter_delta then
-      line "  gate ok: all %d BR drops carry a typed reason" drops_total
-    else begin
-      line "GATE FAIL: %d BR drops but only %d reason-labeled"
-        dropped_counter_delta drops_total;
-      gate_failed := true
-    end;
-    if drops_total + replay_rejected >= !bruteforce_sent + !replayed then
-      line "  gate ok: bruteforce+replay contained (%d injected <= %d dropped/rejected)"
-        (!bruteforce_sent + !replayed)
-        (drops_total + replay_rejected)
-    else begin
-      line "GATE FAIL: %d bruteforce+replay packets but only %d dropped/rejected"
-        (!bruteforce_sent + !replayed)
-        (drops_total + replay_rejected);
-      gate_failed := true
-    end;
-    if samples <> [] then
-      line "  gate ok: shutoff propagation p99 reported (%.3f s)" (pctl 0.99)
-    else begin
-      line "GATE FAIL: no shutoff propagation samples";
-      gate_failed := true
-    end;
+    let queue_cap = aa_limits.Accountability.queue_cap in
+    let injected = !bruteforce_sent + !replayed
+    and contained = drops_total + replay_rejected in
+    gate "E18" "legit_delivery_ratio" ~measured:delivery_ratio ~bound:0.99
+      (delivery_ratio >= 0.99)
+      "legit cross-AS delivery %.2f%% under attack (bound >= 99%%)"
+      (delivery_ratio *. 100.0);
+    gate "E18" "aa_queue_peak" ~measured:(float_of_int queue_peak)
+      ~bound:(float_of_int queue_cap)
+      (shed > 0 && queue_peak <= queue_cap)
+      "AA backlog peak %d vs cap %d, %d shed (bound: peak <= cap, shed > 0)"
+      queue_peak queue_cap shed;
+    gate "E18" "aa_ledger_accounted" ~measured:(float_of_int aa_accounted)
+      ~bound:(float_of_int aa_requests)
+      (aa_requests = aa_accounted)
+      "AA ledger: %d requests vs %d granted+refused+shed+queued"
+      aa_requests aa_accounted;
+    gate "E18" "br_drops_typed" ~measured:(float_of_int drops_total)
+      ~bound:(float_of_int dropped_counter_delta)
+      (drops_total = dropped_counter_delta)
+      "%d BR drops, %d carry a typed reason" dropped_counter_delta drops_total;
+    gate "E18" "bruteforce_replay_contained" ~measured:(float_of_int contained)
+      ~bound:(float_of_int injected) (contained >= injected)
+      "bruteforce+replay: %d injected, %d dropped/rejected" injected contained;
+    gate "E18" "shutoff_propagation_samples"
+      ~measured:(float_of_int (List.length samples))
+      ~bound:1.0 (samples <> [])
+      "shutoff propagation: %d samples, p99 %.3f s" (List.length samples)
+      (pctl 0.99);
     List.iter
       (fun rule ->
-        if fired_and_resolved rule then
-          line "  alert gate ok: %s fired and resolved" rule
-        else begin
-          line "GATE FAIL: alert %s did not fire and resolve (fired=%b)" rule
-            (Apna_obs.Alert.has_fired alerts rule);
-          gate_failed := true
-        end)
+        let ok = fired_and_resolved rule in
+        gate ~alert:true "E18" ("alert." ^ rule)
+          ~measured:(if ok then 1.0 else 0.0) ~bound:1.0 ok "%s %s" rule
+          (if ok then "fired and resolved"
+           else
+             Printf.sprintf "did not fire and resolve (fired=%b)"
+               (Apna_obs.Alert.has_fired alerts rule)))
       [ "shutoff-stall"; "revocation-storm" ]
   end;
   let row =
@@ -3160,8 +3093,8 @@ let e18 () =
         (fraction, row, fired, export))
       tiers
   in
-  let section = J.List (List.map (fun (_, row, _, _) -> row) rows) in
-  add_json "attack_campaign" section;
+  add_json "attack_campaign"
+    (J.List (List.map (fun (_, row, _, _) -> row) rows));
   add_telemetry "attack_campaign"
     (J.Obj
        [
@@ -3180,21 +3113,6 @@ let e18 () =
            | Some (_, _, _, export) -> export
            | None -> J.Null );
        ]);
-  (* Standalone artifact for CI upload (schema in docs/OBSERVABILITY.md). *)
-  let doc =
-    J.Obj
-      [
-        ("schema", J.Str "apna-attack-campaign/1");
-        ("quick", J.Bool !quick);
-        ("tiers", section);
-      ]
-  in
-  let oc = open_out "attack_campaign.json" in
-  output_string oc (J.to_string ~pretty:true doc);
-  output_char oc '\n';
-  close_out oc;
-  line "";
-  line "wrote attack_campaign.json";
   M.set_enabled M.default false
 
 (* ------------------------------------------------------------------ *)
@@ -3223,14 +3141,31 @@ let experiments =
 
 let json_path = "BENCH_results.json"
 
+(* The one results document (schema apna-bench/2): every experiment's
+   section, every gate row, the telemetry timelines and the metrics
+   registry. *)
 let write_json selected =
   let doc =
     J.Obj
       [
-        ("schema", J.Str "apna-bench/1");
+        ("schema", J.Str "apna-bench/2");
         ("quick", J.Bool !quick);
         ("experiments_run", J.List (List.map (fun id -> J.Str id) selected));
         ("experiments", J.Obj (List.rev !json_sections));
+        ( "gates",
+          J.List
+            (List.rev_map
+               (fun g ->
+                 J.Obj
+                   [
+                     ("experiment", J.Str g.experiment);
+                     ("name", J.Str g.name);
+                     ("measured", J.Float g.measured);
+                     ("bound", J.Float g.bound);
+                     ("ok", J.Bool g.ok);
+                   ])
+               !gates) );
+        ("telemetry", J.Obj (List.rev !telemetry_sections));
         ("metrics", M.to_json M.default);
       ]
   in
@@ -3249,96 +3184,27 @@ let write_json selected =
   line "";
   line "wrote %s (%d bytes, parse-checked)" json_path (String.length read_back)
 
-let telemetry_path = "telemetry.json"
-
-(* Written only when an experiment attached the sampler (E13/E15/E16), so
-   runs without telemetry leave any previous export untouched. *)
-let write_telemetry () =
-  match !telemetry_sections with
-  | [] -> ()
-  | sections ->
-      let doc =
-        J.Obj
-          [
-            ("schema", J.Str "apna-telemetry/1");
-            ("quick", J.Bool !quick);
-            ("experiments", J.Obj (List.rev sections));
-          ]
-      in
-      let text = J.to_string ~pretty:true doc in
-      let oc = open_out telemetry_path in
-      output_string oc text;
-      output_char oc '\n';
-      close_out oc;
-      let ic = open_in_bin telemetry_path in
-      let read_back = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      (match J.parse read_back with
-      | Ok _ -> ()
-      | Error e ->
-          failwith (Printf.sprintf "%s does not parse: %s" telemetry_path e));
-      line "wrote %s (%d bytes, parse-checked)" telemetry_path
-        (String.length read_back)
+let usage bad =
+  Printf.eprintf "unknown argument %s\nusage: main.exe [--quick] [%s ...]\n"
+    bad
+    (String.concat "|" (List.map fst experiments));
+  exit 2
 
 let () =
   Logs.set_level (Some Logs.Error);
-  let args =
-    List.filter
-      (fun a ->
-        if a = "--quick" then begin
-          quick := true;
-          false
-        end
-        else if a = "--faults" then begin
-          faults_only := true;
-          false
-        end
-        else if a = "--lifetimes" then begin
-          lifetimes_only := true;
-          false
-        end
-        else if a = "--storm" then begin
-          storm_only := true;
-          false
-        end
-        else if a = "--trace-scale" then begin
-          trace_scale_only := true;
-          false
-        end
-        else if a = "--burst" then begin
-          burst_only := true;
-          false
-        end
-        else if a = "--campaign" then begin
-          campaign_only := true;
-          false
-        end
-        else true)
-      (List.tl (Array.to_list Sys.argv))
-  in
+  let args = List.tl (Array.to_list Sys.argv) in
+  quick := List.mem "--quick" args;
+  let ids = List.filter (( <> ) "--quick") args in
+  List.iter (fun a -> if not (List.mem_assoc a experiments) then usage a) ids;
   let selected =
-    match args with
-    | _ :: _ -> args
-    | [] ->
-        if !faults_only then [ "E13" ]
-        else if !lifetimes_only then [ "E14" ]
-        else if !storm_only then [ "E15" ]
-        else if !trace_scale_only then [ "E16" ]
-        else if !burst_only then [ "E17" ]
-        else if !campaign_only then [ "E18" ]
-        else if !quick then [ "E2" ]
-        else List.map fst experiments
+    match ids with
+    | _ :: _ -> ids
+    | [] -> if !quick then [ "E2" ] else List.map fst experiments
   in
   line "APNA benchmark harness (one section per paper table/figure)";
-  List.iter
-    (fun id ->
-      match List.assoc_opt id experiments with
-      | Some f -> f ()
-      | None -> line "unknown experiment %s" id)
-    selected;
+  List.iter (fun id -> (List.assoc id experiments) ()) selected;
   write_json selected;
-  write_telemetry ();
-  if !gate_failed then begin
+  if List.exists (fun g -> not g.ok) !gates then begin
     line "one or more bench gates FAILED";
     exit 1
   end

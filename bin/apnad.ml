@@ -904,7 +904,7 @@ let health_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "export" ] ~docv:"FILE"
-          ~doc:"Write the telemetry timeline (telemetry.json schema) to FILE.")
+          ~doc:"Write the telemetry timeline (the Telemetry.export document) to FILE.")
   in
   let run verbose seed loss rate duration interval export =
     setup_logs verbose;
