@@ -1117,7 +1117,7 @@ let e12 () =
   Network.run net;
 
   let flows = 300 in
-  let setup_hist = Apna_sim.Stats.Hist.create ~lo:0.0 ~hi:0.2 () in
+  let setup_hist = Apna_obs.Accum.Hist.create ~lo:0.0 ~hi:0.2 () in
   let delivered = ref 0 and established = ref 0 in
   let wall0 = Sys.time () in
   for _ = 1 to flows do
@@ -1131,7 +1131,7 @@ let e12 () =
       Network.run net;
       if List.length (Host.received dst) > before then begin
         incr delivered;
-        Apna_sim.Stats.Hist.add setup_hist (Network.now_f net -. t0)
+        Apna_obs.Accum.Hist.add setup_hist (Network.now_f net -. t0)
       end
     end
   done;
@@ -1141,8 +1141,8 @@ let e12 () =
   line "sessions established       : %d" !established;
   line "first payloads delivered   : %d" !delivered;
   line "time-to-first-byte p50/p99 : %.1f ms / %.1f ms"
-    (Apna_sim.Stats.Hist.percentile setup_hist 0.5 *. 1e3)
-    (Apna_sim.Stats.Hist.percentile setup_hist 0.99 *. 1e3);
+    (Apna_obs.Accum.Hist.percentile setup_hist 0.5 *. 1e3)
+    (Apna_obs.Accum.Hist.percentile setup_hist 0.99 *. 1e3);
   line "wall time                  : %.2f s (%.0f flows/s simulated)" wall
     (float_of_int flows /. wall);
   (* Aggregate router activity across all ASes. *)

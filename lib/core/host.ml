@@ -3,18 +3,6 @@ open Apna_net
 module M = Apna_obs.Metrics
 module E = Apna_obs.Event
 
-let m_rpc_retries =
-  M.Counter.register M.default "apna_host_rpc_retries_total"
-    ~help:"Control-plane request retransmissions"
-
-let m_rpc_timeouts =
-  M.Counter.register M.default "apna_host_rpc_timeouts_total"
-    ~help:"Control-plane requests abandoned after exhausting retransmissions"
-
-let m_rpc_orphans =
-  M.Counter.register M.default "apna_host_rpc_orphan_replies_total"
-    ~help:"Replies with no pending request (duplicates or late arrivals)"
-
 let m_migrations =
   M.Counter.register M.default "apna_host_session_migrations_total"
     ~help:"Live sessions rebound onto a fresh source EphID (Rekey sent)"
@@ -83,16 +71,42 @@ module I64_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* One in-flight round-trip request. Replies are matched by correlation id,
-   never by arrival order, so loss/duplication/reordering cannot mis-pair a
-   reply with another request's continuation. *)
-type rpc = {
-  what : string;
-  resend : unit -> unit;
-  on_reply : Msgs.t -> unit;
-  on_timeout : unit -> unit;
-  mutable attempts : int;
+(* What answers a pending request: a control-plane reply, matched by
+   correlation id, or an ICMP echo reply, matched by ident. *)
+type reply = Control of Msgs.t | Echo
+
+(* Everything the host keeps about one connection: closing it is one
+   table removal. *)
+type conn = {
+  session : Session.t;
+  (* Local endpoint backing the session, for data frames and shutoff
+     signatures; a migration replaces it. *)
+  mutable local : endpoint;
+  (* Most recent raw Init/Data packet: the evidence a victim presents in a
+     shutoff request (Fig. 5). *)
+  mutable last_packet : Packet.t option;
+  (* Data sent before the server's Accept, newest first (0.5-RTT). *)
+  mutable queued : string list;
+  (* Receiver-side idempotency: the Accept and the Rekey_ack, cached to be
+     re-sent verbatim on a duplicate Init or Rekey. *)
+  mutable accept_resend : (unit -> unit) option;
+  mutable rekey_ack_resend : (unit -> unit) option;
+  (* A migration is in flight (issuance or unacked Rekey): the guard
+     against re-triggering. *)
+  mutable migrating : bool;
+  (* One-slot stash of a frame that died on the peer's expired/revoked
+     EphID, retransmitted once when the peer's Rekey lands. *)
+  mutable pending_retx : string option;
+  (* Last reactive recovery (simulated time), bounding how often ambiguous
+     ICMP feedback may trigger a migration. *)
+  mutable last_recovery : float;
 }
+
+(* A connection id is live, or, on a server answering an Init that
+   targeted a receive-only EphID, waiting for its serving EphID: no session
+   exists yet, retransmitted Inits are absorbed, and the latest one is kept
+   as shutoff evidence for the session to come. *)
+type slot = Live of conn | Serving of Packet.t ref
 
 type t = {
   host_name : string;
@@ -115,30 +129,11 @@ type t = {
   (* Prefetched one-shot EphIDs for per-packet sources. *)
   prefetched : endpoint Queue.t;
   mutable prefetch_inflight : int;
-  (* In-flight control-plane round trips (EphID issuance, DNS), keyed by
-     correlation id. *)
-  rpcs : rpc I64_tbl.t;
-  mutable next_corr : int64;
-  (* Initiator sessions awaiting the server's Accept, keyed by connection
-     id (which doubles as the Init/Accept correlation id). *)
-  accept_waits : rpc I64_tbl.t;
-  (* Ping retransmission state, keyed by the echo ident. *)
-  ping_rpcs : rpc I64_tbl.t;
-  mutable rpc_retries : int;
-  mutable rpc_timeouts : int;
-  (* Receiver-side Init idempotency: serving-EphID issuance in flight for a
-     connection, and the cached Accept to re-send verbatim on a
-     retransmitted Init. *)
-  init_in_progress : unit I64_tbl.t;
-  accept_resend : (unit -> unit) I64_tbl.t;
-  sessions_by_conn : Session.t I64_tbl.t;
-  (* Local endpoint backing each connection, for shutoff signatures and
-     queued 0.5-RTT data. *)
-  local_by_conn : endpoint I64_tbl.t;
-  queued_data : string Queue.t I64_tbl.t;
-  (* Most recent raw data packet per connection: the evidence a victim
-     presents in a shutoff request (Fig. 5). *)
-  last_packet_by_conn : Packet.t I64_tbl.t;
+  (* Every round trip in flight: issuance, DNS, awaited Accepts, pings and
+     Rekeys. *)
+  rpc : reply Rpc.t;
+  (* Every connection, keyed by connection id. *)
+  conns : slot I64_tbl.t;
   mutable data_handler : session:Session.t -> data:string -> unit;
   mutable received_rev : (int64 * string) list;
   (* Ring of the last [unreachable_cap] ICMP unreachable reasons, oldest
@@ -148,8 +143,6 @@ type t = {
   (* Shutoff notices from the AS: revoked EphID and, when the granularity
      policy allows it, the application behind it (§VIII-A). *)
   mutable revocation_notices_rev : (Ephid.t * string option) list;
-  pending_pings : (int, float * (float -> unit)) Hashtbl.t;
-  mutable next_ping_ident : int;
   mutable ephid_requests : int;
   mutable pkts_sent : int;
   (* Server policy: accept 0-RTT data arriving under a receive-only EphID's
@@ -162,22 +155,9 @@ type t = {
   mutable ephid_lifetime : Lifetime.t;
   mutable renewal_margin : int;
   breaker : Breaker.t;
-  (* Connections with a migration in flight (issuance or unacked Rekey);
-     doubles as the per-conn guard against re-triggering. *)
-  migrating : unit I64_tbl.t;
-  (* Rekey retransmission until the peer's Rekey_ack, keyed by conn id. *)
-  rekey_rpcs : rpc I64_tbl.t;
-  (* Receiver-side Rekey idempotency: cached ack re-sent verbatim when a
-     duplicate Rekey arrives. *)
-  rekey_ack_resend : (unit -> unit) I64_tbl.t;
-  (* One-slot stash of a frame that died on the peer's expired/revoked
-     EphID, retransmitted once when the peer's Rekey lands. *)
-  pending_retx : string I64_tbl.t;
-  (* Last reactive recovery per connection (simulated time), bounding how
-     often ambiguous ICMP feedback may trigger a migration. *)
-  recovery_last : float I64_tbl.t;
-  (* Raw EphID bytes named in a shutoff Revocation_notice: sessions bound
-     to them must never auto-recover (the shutoff would be defeated). *)
+  (* Raw EphID bytes named in a shutoff Revocation_notice or released
+     explicitly: sessions bound to them must never auto-recover (the
+     shutoff would be defeated). *)
   shutoff_inhibited : (string, unit) Hashtbl.t;
   mutable migrations : int;
   mutable recoveries : int;
@@ -212,36 +192,19 @@ let create ~name ~rng ?(granularity = Granularity.Per_flow) () =
       pool_waiters = Hashtbl.create 4;
       prefetched = Queue.create ();
       prefetch_inflight = 0;
-      rpcs = I64_tbl.create 8;
-      next_corr = 0L;
-      accept_waits = I64_tbl.create 8;
-      ping_rpcs = I64_tbl.create 4;
-      rpc_retries = 0;
-      rpc_timeouts = 0;
-      init_in_progress = I64_tbl.create 4;
-      accept_resend = I64_tbl.create 4;
-      sessions_by_conn = I64_tbl.create 8;
-      local_by_conn = I64_tbl.create 8;
-      queued_data = I64_tbl.create 8;
-      last_packet_by_conn = I64_tbl.create 8;
+      rpc = Rpc.create ~owner:name;
+      conns = I64_tbl.create 8;
       data_handler = (fun ~session:_ ~data:_ -> ());
       received_rev = [];
       unreachables_q = Queue.create ();
       mtu_hints_rev = [];
       revocation_notices_rev = [];
-      pending_pings = Hashtbl.create 4;
-      next_ping_ident = 1;
       ephid_requests = 0;
       pkts_sent = 0;
       accept_zero_rtt = true;
       ephid_lifetime = Lifetime.Medium;
       renewal_margin = 30;
       breaker;
-      migrating = I64_tbl.create 4;
-      rekey_rpcs = I64_tbl.create 4;
-      rekey_ack_resend = I64_tbl.create 4;
-      pending_retx = I64_tbl.create 4;
-      recovery_last = I64_tbl.create 4;
       shutoff_inhibited = Hashtbl.create 4;
       migrations = 0;
       recoveries = 0;
@@ -285,13 +248,32 @@ let unreachable_total t = t.unreachable_total
 let mtu_hints t = List.rev t.mtu_hints_rev
 let revocation_notices t = List.rev t.revocation_notices_rev
 let on_data t f = t.data_handler <- f
-let sessions t = I64_tbl.fold (fun _ s acc -> s :: acc) t.sessions_by_conn []
-let last_packet t session = I64_tbl.find_opt t.last_packet_by_conn (Session.conn_id session)
+
+let live t conn_id =
+  match I64_tbl.find_opt t.conns conn_id with
+  | Some (Live c) -> Some c
+  | Some (Serving _) | None -> None
+
+(* [c] is still the open connection under its id (not closed meanwhile). *)
+let is_live t c =
+  match I64_tbl.find_opt t.conns (Session.conn_id c.session) with
+  | Some (Live c') -> c' == c
+  | Some (Serving _) | None -> false
+
+let sessions t =
+  I64_tbl.fold
+    (fun _ slot acc -> match slot with Live c -> c.session :: acc | Serving _ -> acc)
+    t.conns []
+
+let last_packet t session =
+  Option.bind (live t (Session.conn_id session)) (fun c -> c.last_packet)
 let set_zero_rtt_policy t accept = t.accept_zero_rtt <- accept
 let ephid_requests_sent t = t.ephid_requests
 let packets_sent t = t.pkts_sent
-let rpc_retries t = t.rpc_retries
-let rpc_timeouts t = t.rpc_timeouts
+let rpc_retries t = Rpc.retries t.rpc
+let rpc_timeouts t = Rpc.timeouts t.rpc
+let pending_rpc_count t = Rpc.pending t.rpc
+let inhibited_ephids t = Hashtbl.length t.shutoff_inhibited
 let ephid_lifetime t = t.ephid_lifetime
 let set_ephid_lifetime t lt = t.ephid_lifetime <- lt
 let renewal_margin t = t.renewal_margin
@@ -305,10 +287,6 @@ let stale_prefetch_discards t = t.stale_discards
 let note_brownout t =
   t.brownout_sends <- t.brownout_sends + 1;
   M.Counter.incr m_brownout
-
-let pending_rpc_count t =
-  I64_tbl.length t.rpcs + I64_tbl.length t.accept_waits
-  + I64_tbl.length t.ping_rpcs + I64_tbl.length t.rekey_rpcs
 
 let require_att t =
   match t.att with
@@ -324,77 +302,16 @@ let warn t what = function
   | Ok _ -> ()
   | Error e -> Logs.warn (fun m -> m "%s: %s: %a" t.host_name what Error.pp e)
 
-(* ------------------------------------------------------------------ *)
-(* Request/reply engine: per-request timeout, bounded retransmission with
-   exponential backoff, Error.Timeout on exhaustion. *)
+let start_rpc t key ~what ?on_reply ~resend ~on_timeout () =
+  let schedule = Option.bind t.att (fun att -> att.schedule) in
+  Rpc.start t.rpc schedule key ~what ?on_reply ~resend ~on_timeout ()
 
-let rpc_timeout_s = 0.25
-let rpc_max_attempts = 5
-let rpc_backoff = 2.0
-let fresh_corr t = t.next_corr <- Int64.add t.next_corr 1L; t.next_corr
-
-let rpc_schedule t =
-  match t.att with Some { schedule = Some f; _ } -> Some f | _ -> None
-
-(* A settled rpc leaves its last timer armed; it finds no table entry and
-   does nothing (the engine has no cancellation). *)
-let rec arm_rpc t tbl key (rpc : rpc) =
-  match rpc_schedule t with
-  | None -> ()
-  | Some sched ->
-      let delay =
-        rpc_timeout_s *. (rpc_backoff ** float_of_int (rpc.attempts - 1))
-      in
-      sched ~delay (fun () -> rpc_timer_fired t tbl key)
-
-and rpc_timer_fired t tbl key =
-  match I64_tbl.find_opt tbl key with
-  | None -> ()
-  | Some rpc ->
-      if rpc.attempts >= rpc_max_attempts then begin
-        I64_tbl.remove tbl key;
-        t.rpc_timeouts <- t.rpc_timeouts + 1;
-        M.Counter.incr m_rpc_timeouts;
-        Logs.warn (fun m ->
-            m "%s: %s: no reply after %d attempts" t.host_name rpc.what
-              rpc.attempts);
-        rpc.on_timeout ()
-      end
-      else begin
-        rpc.attempts <- rpc.attempts + 1;
-        t.rpc_retries <- t.rpc_retries + 1;
-        M.Counter.incr m_rpc_retries;
-        let start = E.start E.default in
-        rpc.resend ();
-        if E.enabled E.default then
-          E.record E.default ~start
-            ~key:(E.key_of_string (Printf.sprintf "rpc:%Ld" key))
-            (E.Rpc_retransmit
-               { host = t.host_name; what = rpc.what; attempt = rpc.attempts });
-        arm_rpc t tbl key rpc
-      end
-
-let start_rpc t tbl key ~what ?(on_reply = fun (_ : Msgs.t) -> ()) ~resend
-    ~on_timeout () =
-  let rpc = { what; resend; on_reply; on_timeout; attempts = 1 } in
-  I64_tbl.replace tbl key rpc;
-  resend ();
-  arm_rpc t tbl key rpc
-
-(* Remove a pending rpc (reply arrived through another path); later
-   duplicates become orphans. *)
-let settle_rpc tbl key = I64_tbl.remove tbl key
-
-let dispatch_reply t ~what corr msg =
-  match I64_tbl.find_opt t.rpcs corr with
-  | Some rpc ->
-      I64_tbl.remove t.rpcs corr;
-      rpc.on_reply msg
-  | None ->
-      M.Counter.incr m_rpc_orphans;
-      Logs.debug (fun m ->
-          m "%s: %s reply with no pending request (corr %Ld)" t.host_name what
-            corr)
+(* A round trip to the MS or the DNS service, answered by a control-plane
+   reply carrying [corr]. *)
+let control_rpc t corr ~what ~resend ~on_reply ~on_timeout =
+  start_rpc t (Rpc.Corr corr) ~what ~resend ~on_timeout
+    ~on_reply:(function Control msg -> on_reply msg | Echo -> ())
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Bootstrap (Fig. 2, host side) *)
@@ -474,48 +391,55 @@ let send_packet t ~src_ephid ~dst_aid ~dst_ephid ~proto ~payload =
 (* ------------------------------------------------------------------ *)
 (* EphID acquisition (Fig. 3, host side) *)
 
-let request_ephid_r t ?lifetime ?(receive_only = false) k =
-  let lifetime = Option.value lifetime ~default:t.ephid_lifetime in
+let send_to_ms t id ~payload =
+  send_packet t ~src_ephid:(Ephid.to_bytes id.ctrl_ephid)
+    ~dst_aid:id.ms_cert.aid
+    ~dst_ephid:(Ephid.to_bytes id.ms_cert.ephid)
+    ~proto:Packet.Control ~payload
+
+(* One sealed issuance round trip, shared by the single and the batched
+   request: breaker gate, retransmission and timeout. [keys] draws the key
+   material once the request is sure to go out, [request] seals it under
+   its correlation id and [read] turns the MS's reply into endpoints. *)
+let issue t ~what ~timeout ~keys ~request ~read k =
   match (require_att t, require_identity t) with
   | Error e, _ | _, Error e -> k (Error e)
-  | Ok att, Ok id when not (Breaker.acquire t.breaker ~now:(att.now_f ())) ->
-      ignore id;
+  | Ok att, Ok _ when not (Breaker.acquire t.breaker ~now:(att.now_f ())) ->
       (* Fail fast while the breaker is open: callers apply their brownout
          fallback instead of burning a full timeout ladder per request. *)
       k (Error (Error.Rejected "EphID issuance circuit breaker open"))
   | Ok att, Ok id ->
-      let keys = Keys.make_ephid_keys t.rng in
-      let corr = fresh_corr t in
-      let msg =
-        Management.Client.make_request ~rng:t.rng ~corr ~kha:id.kha ~keys
-          ~lifetime
-      in
+      let keys = keys () in
+      let corr = Rpc.fresh_corr t.rpc in
       (* Retransmits reuse the serialized request: same key/nonce/plaintext
          seals to the same bytes, and the MS treats each copy as a fresh
          (idempotent-enough) issuance — the host keeps only the one it
          pairs by correlation id. *)
-      let payload = Msgs.to_bytes msg in
+      let payload = Msgs.to_bytes (request ~corr ~kha:id.kha keys) in
       t.ephid_requests <- t.ephid_requests + 1;
-      let resend () =
-        warn t "request_ephid send"
-          (send_packet t ~src_ephid:(Ephid.to_bytes id.ctrl_ephid)
-             ~dst_aid:id.ms_cert.aid
-             ~dst_ephid:(Ephid.to_bytes id.ms_cert.ephid)
-             ~proto:Packet.Control ~payload)
-      in
-      start_rpc t t.rpcs corr ~what:"EphID request" ~resend
+      control_rpc t corr ~what
+        ~resend:(fun () -> warn t (what ^ " send") (send_to_ms t id ~payload))
         ~on_reply:(fun msg ->
           Breaker.success t.breaker;
-          match Management.Client.read_reply ~kha:id.kha msg with
-          | Error e -> k (Error e)
-          | Ok cert ->
-              let endpoint = { cert; keys; receive_only } in
-              add_endpoint t endpoint;
-              k (Ok endpoint))
+          k (read ~kha:id.kha keys msg))
         ~on_timeout:(fun () ->
           Breaker.failure t.breaker ~now:(att.now_f ());
-          k (Error (Error.Timeout "EphID issuance")))
-        ()
+          k (Error (Error.Timeout timeout)))
+
+let request_ephid_r t ?lifetime ?(receive_only = false) k =
+  let lifetime = Option.value lifetime ~default:t.ephid_lifetime in
+  issue t ~what:"EphID request" ~timeout:"EphID issuance"
+    ~keys:(fun () -> Keys.make_ephid_keys t.rng)
+    ~request:(fun ~corr ~kha keys ->
+      Management.Client.make_request ~rng:t.rng ~corr ~kha ~keys ~lifetime)
+    ~read:(fun ~kha keys msg ->
+      Result.map
+        (fun cert ->
+          let endpoint = { cert; keys; receive_only } in
+          add_endpoint t endpoint;
+          endpoint)
+        (Management.Client.read_reply ~kha msg))
+    k
 
 let request_ephid t ?lifetime ?receive_only k =
   request_ephid_r t ?lifetime ?receive_only (function
@@ -527,50 +451,33 @@ let request_ephid t ?lifetime ?receive_only k =
    round trip instead of [count] independent request/reply exchanges. *)
 let request_ephid_batch_r t ~count ?lifetime k =
   let lifetime = Option.value lifetime ~default:t.ephid_lifetime in
-  match (require_att t, require_identity t) with
-  | Error e, _ | _, Error e -> k (Error e)
-  | Ok att, Ok id when not (Breaker.acquire t.breaker ~now:(att.now_f ())) ->
-      ignore id;
-      k (Error (Error.Rejected "EphID issuance circuit breaker open"))
-  | Ok att, Ok id ->
-      let keys = List.init count (fun _ -> Keys.make_ephid_keys t.rng) in
-      let corr = fresh_corr t in
-      let msg =
-        Management.Client.make_batch_request ~rng:t.rng ~corr ~kha:id.kha
-          ~keys ~lifetime
-      in
-      let payload = Msgs.to_bytes msg in
-      t.ephid_requests <- t.ephid_requests + 1;
-      let resend () =
-        warn t "batch request send"
-          (send_packet t ~src_ephid:(Ephid.to_bytes id.ctrl_ephid)
-             ~dst_aid:id.ms_cert.aid
-             ~dst_ephid:(Ephid.to_bytes id.ms_cert.ephid)
-             ~proto:Packet.Control ~payload)
-      in
-      start_rpc t t.rpcs corr ~what:"EphID batch request" ~resend
-        ~on_reply:(fun msg ->
-          Breaker.success t.breaker;
-          match Management.Client.read_batch_reply ~kha:id.kha msg with
-          | Error e -> k (Error e)
-          | Ok certs when List.length certs <> count ->
-              k (Error (Error.Malformed "batch reply count mismatch"))
-          | Ok certs ->
-              (* Certificates arrive in request order: pair them back with
-                 the key material they certify. *)
-              let endpoints =
-                List.map2
-                  (fun cert keys -> { cert; keys; receive_only = false })
-                  certs keys
-              in
-              List.iter (add_endpoint t) endpoints;
-              k (Ok endpoints))
-        ~on_timeout:(fun () ->
-          Breaker.failure t.breaker ~now:(att.now_f ());
-          k (Error (Error.Timeout "EphID batch issuance")))
-        ()
+  issue t ~what:"EphID batch request" ~timeout:"EphID batch issuance"
+    ~keys:(fun () -> List.init count (fun _ -> Keys.make_ephid_keys t.rng))
+    ~request:(fun ~corr ~kha keys ->
+      Management.Client.make_batch_request ~rng:t.rng ~corr ~kha ~keys
+        ~lifetime)
+    ~read:(fun ~kha keys msg ->
+      match Management.Client.read_batch_reply ~kha msg with
+      | Error e -> Error e
+      | Ok certs when List.length certs <> count ->
+          Error (Error.Malformed "batch reply count mismatch")
+      | Ok certs ->
+          (* Certificates arrive in request order: pair them back with
+             the key material they certify. *)
+          let endpoints =
+            List.map2
+              (fun cert keys -> { cert; keys; receive_only = false })
+              certs keys
+          in
+          List.iter (add_endpoint t) endpoints;
+          Ok endpoints)
+    k
 
-let release_endpoint t (endpoint : endpoint) =
+let ephid_raw (ep : endpoint) = Ephid.to_bytes ep.cert.Cert.ephid
+
+(* Tells the MS to revoke [endpoint] and drops it from the local pools;
+   [pin] also inhibits ICMP-driven recovery of sessions bound to it. *)
+let release t ~pin (endpoint : endpoint) =
   match require_identity t with
   | Error e -> Error e
   | Ok id ->
@@ -583,14 +490,12 @@ let release_endpoint t (endpoint : endpoint) =
         (fun key (e : endpoint) ->
           if Cert.equal e.cert endpoint.cert then Hashtbl.remove t.pools key)
         (Hashtbl.copy t.pools);
-      (* A deliberate release means sessions bound to this EphID must die
-         with it: inhibit ICMP-driven recovery, exactly as for a shutoff. *)
-      Hashtbl.replace t.shutoff_inhibited
-        (Ephid.to_bytes endpoint.cert.Cert.ephid) ();
-      send_packet t ~src_ephid:(Ephid.to_bytes id.ctrl_ephid)
-        ~dst_aid:id.ms_cert.aid
-        ~dst_ephid:(Ephid.to_bytes id.ms_cert.ephid)
-        ~proto:Packet.Control ~payload:(Msgs.to_bytes msg)
+      if pin then Hashtbl.replace t.shutoff_inhibited (ephid_raw endpoint) ();
+      send_to_ms t id ~payload:(Msgs.to_bytes msg)
+
+(* A deliberate release means sessions bound to this EphID must die with
+   it: pin it, exactly as for a shutoff. *)
+let release_endpoint t endpoint = release t ~pin:true endpoint
 
 (* ------------------------------------------------------------------ *)
 (* Granularity-driven source selection *)
@@ -734,33 +639,40 @@ let send_frame t ~(endpoint : endpoint) ~remote:(remote_cert : Cert.t) frame =
     ~proto:Packet.Data
     ~payload:(Session.Frame.to_bytes frame)
 
-let forget_session t conn_id =
-  let endpoint = I64_tbl.find_opt t.local_by_conn conn_id in
-  I64_tbl.remove t.sessions_by_conn conn_id;
-  I64_tbl.remove t.local_by_conn conn_id;
-  I64_tbl.remove t.last_packet_by_conn conn_id;
-  I64_tbl.remove t.queued_data conn_id;
-  settle_rpc t.accept_waits conn_id;
-  I64_tbl.remove t.accept_resend conn_id;
-  I64_tbl.remove t.init_in_progress conn_id;
-  settle_rpc t.rekey_rpcs conn_id;
-  I64_tbl.remove t.migrating conn_id;
-  I64_tbl.remove t.rekey_ack_resend conn_id;
-  I64_tbl.remove t.pending_retx conn_id;
-  I64_tbl.remove t.recovery_last conn_id;
+let add_conn t session local ~last_packet =
+  let c =
+    {
+      session;
+      local;
+      last_packet;
+      queued = [];
+      accept_resend = None;
+      rekey_ack_resend = None;
+      migrating = false;
+      pending_retx = None;
+      last_recovery = neg_infinity;
+    }
+  in
+  I64_tbl.replace t.conns (Session.conn_id session) (Live c);
+  c
+
+let forget_session t c =
+  let conn_id = Session.conn_id c.session in
+  I64_tbl.remove t.conns conn_id;
+  Rpc.settle t.rpc (Rpc.Accept conn_id);
+  Rpc.settle t.rpc (Rpc.Rekey conn_id);
   (* Per-flow EphIDs die with their flow: preemptively release the backing
      EphID unless it is pooled (per-host/per-application) or receive-only
-     (§VIII-G2: hosts manage their EphID pool). *)
-  match endpoint with
-  | None -> ()
-  | Some endpoint ->
-      let pooled =
-        Hashtbl.fold
-          (fun _ (e : endpoint) acc -> acc || Cert.equal e.cert endpoint.cert)
-          t.pools false
-      in
-      if (not pooled) && not endpoint.receive_only then
-        warn t "close: release" (release_endpoint t endpoint)
+     (§VIII-G2: hosts manage their EphID pool). It is not pinned: the
+     inhibition set keeps shutoffs and deliberate releases final, and would
+     otherwise grow by one entry per connection. *)
+  let pooled =
+    Hashtbl.fold
+      (fun _ (e : endpoint) acc -> acc || Cert.equal e.cert c.local.cert)
+      t.pools false
+  in
+  if (not pooled) && not c.local.receive_only then
+    warn t "close: release" (release t ~pin:false c.local)
 
 (* ------------------------------------------------------------------ *)
 (* Mid-session EphID migration: a live session outlives the EphID that
@@ -770,29 +682,26 @@ let forget_session t conn_id =
    Rekey until the peer's Rekey_ack — the same exactly-once discipline as
    every other host round trip. *)
 
-let ephid_raw (ep : endpoint) = Ephid.to_bytes ep.cert.Cert.ephid
-
 let inhibited t (ep : endpoint) = Hashtbl.mem t.shutoff_inhibited (ephid_raw ep)
 
-let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
-    () =
-  let conn_id = Session.conn_id session in
-  if I64_tbl.mem t.migrating conn_id then ()
-  else begin
-    I64_tbl.replace t.migrating conn_id ();
+let migrate_session t c ~reason ?(and_then = fun (_ : endpoint) -> ()) () =
+  if not c.migrating then begin
+    c.migrating <- true;
+    let session = c.session in
+    let conn_id = Session.conn_id session in
     let start = E.start E.default in
     request_ephid_r t (fun result ->
         match result with
         | Error e ->
             (* Brownout: keep riding the current endpoint until its hard
                expiry; the next send or ICMP retriggers the migration. *)
-            I64_tbl.remove t.migrating conn_id;
+            c.migrating <- false;
             note_brownout t;
             warn t "migrate: issuance" (Error e)
         | Ok fresh ->
-            if not (I64_tbl.mem t.sessions_by_conn conn_id) then
+            if not (is_live t c) then
               (* Session closed while the issuance was in flight. *)
-              I64_tbl.remove t.migrating conn_id
+              c.migrating <- false
             else begin
               let seq, sealed = Session.seal session "" in
               let frame =
@@ -803,10 +712,10 @@ let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
                   ~local_keys:fresh.keys
               with
               | Error e ->
-                  I64_tbl.remove t.migrating conn_id;
+                  c.migrating <- false;
                   warn t "migrate: rekey" (Error e)
               | Ok () ->
-                  I64_tbl.replace t.local_by_conn conn_id fresh;
+                  c.local <- fresh;
                   t.migrations <- t.migrations + 1;
                   M.Counter.incr m_migrations;
                   Logs.info (fun m ->
@@ -831,9 +740,8 @@ let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
                       (send_frame t ~endpoint:fresh
                          ~remote:(Session.remote_cert session) frame)
                   in
-                  start_rpc t t.rekey_rpcs conn_id ~what:"session rekey"
-                    ~resend
-                    ~on_timeout:(fun () -> I64_tbl.remove t.migrating conn_id)
+                  start_rpc t (Rpc.Rekey conn_id) ~what:"session rekey" ~resend
+                    ~on_timeout:(fun () -> c.migrating <- false)
                     ();
                   and_then fresh
             end)
@@ -842,26 +750,23 @@ let migrate_session t session ~reason ?(and_then = fun (_ : endpoint) -> ())
 (* Proactive renewal: checked on the traffic path (send/receive) rather
    than on long-armed timers, so a simulation driven to quiescence is not
    dragged forward to every session's renewal horizon. *)
-let maybe_migrate t session =
+let maybe_migrate t c =
   match t.att with
   | None -> ()
   | Some att ->
-      let conn_id = Session.conn_id session in
       if
-        Session.established session
-        && (not (I64_tbl.mem t.migrating conn_id))
-        && I64_tbl.mem t.sessions_by_conn conn_id
-      then
-        match I64_tbl.find_opt t.local_by_conn conn_id with
-        | Some ep
-          when ep.cert.Cert.expiry <= att.now () + t.renewal_margin
-               && (not ep.receive_only)
-               && not (inhibited t ep) ->
-            migrate_session t session ~reason:"renewal-margin" ()
-        | _ -> ()
+        Session.established c.session
+        && (not c.migrating)
+        && c.local.cert.Cert.expiry <= att.now () + t.renewal_margin
+        && (not c.local.receive_only)
+        && (not (inhibited t c.local))
+        && is_live t c
+      then migrate_session t c ~reason:"renewal-margin" ()
 
 let maintain_sessions t =
-  I64_tbl.iter (fun _ session -> maybe_migrate t session) t.sessions_by_conn
+  I64_tbl.iter
+    (fun _ slot -> match slot with Live c -> maybe_migrate t c | Serving _ -> ())
+    t.conns
 
 let connect t ~remote ?(data0 = "") ?app ?(expect_accept = false) k =
   match require_att t with
@@ -887,8 +792,7 @@ let connect t ~remote ?(data0 = "") ?app ?(expect_accept = false) k =
               with
               | Error e -> warn t "connect: session" (Error e)
               | Ok session ->
-                  I64_tbl.replace t.sessions_by_conn conn_id session;
-                  I64_tbl.replace t.local_by_conn conn_id endpoint;
+                  let c = add_conn t session endpoint ~last_packet:None in
                   let seq, sealed = Session.seal session data0 in
                   (* Retransmits must reuse the sealed frame — sealing again
                      would advance the send sequence. The connection id is
@@ -901,102 +805,88 @@ let connect t ~remote ?(data0 = "") ?app ?(expect_accept = false) k =
                     warn t "connect: init" (send_frame t ~endpoint ~remote frame)
                   in
                   if expect_accept then
-                    start_rpc t t.accept_waits conn_id ~what:"session accept"
+                    start_rpc t (Rpc.Accept conn_id) ~what:"session accept"
                       ~resend:send_init
                       ~on_timeout:(fun () ->
                         warn t "connect"
                           (Error (Error.Timeout "session accept"));
-                        forget_session t conn_id)
+                        forget_session t c)
                       ()
                   else send_init ();
                   k session
             end))
 
 let send t session data =
-  if not (Session.established session) then begin
-    (* §VII-C: before the server's Accept, either send 0-RTT under the
-       receive-only key (connect's data0) or queue for 0.5-RTT. *)
-    let conn_id = Session.conn_id session in
-    let q =
-      match I64_tbl.find_opt t.queued_data conn_id with
-      | Some q -> q
-      | None ->
-          let q = Queue.create () in
-          I64_tbl.replace t.queued_data conn_id q;
-          q
-    in
-    Queue.add data q;
-    Ok ()
-  end
-  else begin
-    let conn_id = Session.conn_id session in
-    match I64_tbl.find_opt t.local_by_conn conn_id with
-    | None -> Error (Error.Rejected "unknown session")
-    | Some endpoint ->
-        let remote = Session.remote_cert session in
-        let seq, sealed = Session.seal session data in
-        let frame = Session.Frame.Data { conn_id; seq; sealed } in
-        let result =
-          if Granularity.equal t.gran Granularity.Per_packet then begin
-            (* Fresh source EphID for every packet (§VIII-A): strongest
-               unlinkability; the connection id does the demultiplexing. *)
-            take_fresh_source t (function
-                | Error e ->
-                    (* Brownout: no fresh EphID to be had — stretch the
-                       effective granularity to per-flow (reuse the bound
-                       endpoint) rather than blackhole the send. *)
-                    if still_valid t endpoint && not (inhibited t endpoint)
-                    then begin
-                      note_brownout t;
-                      warn t "send(per-packet brownout)"
-                        (send_frame t ~endpoint ~remote frame)
-                    end
-                    else warn t "send(per-packet)" (Error e)
-                | Ok fresh ->
-                    warn t "send(per-packet)"
-                      (send_frame t ~endpoint:fresh ~remote frame));
-            Ok ()
-          end
-          else send_frame t ~endpoint ~remote frame
-        in
-        (* After the frame is out (sealed under the pre-migration key),
-           check whether this session's source EphID is due for renewal. *)
-        maybe_migrate t session;
-        result
-  end
+  match live t (Session.conn_id session) with
+  | None -> Error (Error.Rejected "unknown session")
+  | Some c when not (Session.established session) ->
+      (* §VII-C: before the server's Accept, either send 0-RTT under the
+         receive-only key (connect's data0) or queue for 0.5-RTT. *)
+      c.queued <- data :: c.queued;
+      Ok ()
+  | Some c ->
+      let endpoint = c.local in
+      let remote = Session.remote_cert session in
+      let seq, sealed = Session.seal session data in
+      let frame =
+        Session.Frame.Data { conn_id = Session.conn_id session; seq; sealed }
+      in
+      let result =
+        if Granularity.equal t.gran Granularity.Per_packet then begin
+          (* Fresh source EphID for every packet (§VIII-A): strongest
+             unlinkability; the connection id does the demultiplexing. *)
+          take_fresh_source t (function
+              | Error e ->
+                  (* Brownout: no fresh EphID to be had — stretch the
+                     effective granularity to per-flow (reuse the bound
+                     endpoint) rather than blackhole the send. *)
+                  if still_valid t endpoint && not (inhibited t endpoint)
+                  then begin
+                    note_brownout t;
+                    warn t "send(per-packet brownout)"
+                      (send_frame t ~endpoint ~remote frame)
+                  end
+                  else warn t "send(per-packet)" (Error e)
+              | Ok fresh ->
+                  warn t "send(per-packet)"
+                    (send_frame t ~endpoint:fresh ~remote frame));
+          Ok ()
+        end
+        else send_frame t ~endpoint ~remote frame
+      in
+      (* After the frame is out (sealed under the pre-migration key),
+         check whether this session's source EphID is due for renewal. *)
+      maybe_migrate t c;
+      result
 
-let flush_queued t session =
-  let conn_id = Session.conn_id session in
-  match I64_tbl.find_opt t.queued_data conn_id with
-  | None -> ()
-  | Some q ->
-      I64_tbl.remove t.queued_data conn_id;
-      Queue.iter (fun data -> warn t "flush" (send t session data)) q
+let flush_queued t c =
+  let queued = List.rev c.queued in
+  c.queued <- [];
+  List.iter (fun data -> warn t "flush" (send t c.session data)) queued
 
 (* ------------------------------------------------------------------ *)
 (* Session teardown *)
 
 let close t session =
-  let conn_id = Session.conn_id session in
-  match I64_tbl.find_opt t.local_by_conn conn_id with
+  match live t (Session.conn_id session) with
   | None -> Error (Error.Rejected "unknown session")
-  | Some endpoint ->
+  | Some c ->
       let seq, sealed = Session.seal session "" in
       let result =
-        send_frame t ~endpoint ~remote:(Session.remote_cert session)
-          (Session.Frame.Fin { conn_id; seq; sealed })
+        send_frame t ~endpoint:c.local ~remote:(Session.remote_cert session)
+          (Session.Frame.Fin { conn_id = Session.conn_id session; seq; sealed })
       in
-      forget_session t conn_id;
+      forget_session t c;
       result
 
 let handle_fin t ~conn_id ~seq ~sealed =
-  match I64_tbl.find_opt t.sessions_by_conn conn_id with
+  match live t conn_id with
   | None -> ()
-  | Some session -> begin
+  | Some c -> begin
       (* Only an authenticated close tears the session down: a spoofed Fin
          must not be able to kill someone's connection. *)
-      match open_sealed_counted session ~seq ~sealed with
-      | Ok _ -> forget_session t conn_id
+      match open_sealed_counted c.session ~seq ~sealed with
+      | Ok _ -> forget_session t c
       | Error e -> warn t "fin" (Error e)
     end
 
@@ -1013,10 +903,9 @@ let dns_request t ~what ~dns ~(client : endpoint) ~corr msg k =
          ~dst_ephid:(Ephid.to_bytes dns.Cert.ephid)
          ~proto:Packet.Control ~payload)
   in
-  start_rpc t t.rpcs corr ~what ~resend
+  control_rpc t corr ~what ~resend
     ~on_reply:(fun reply -> k (Ok reply))
     ~on_timeout:(fun () -> k (Error (Error.Timeout what)))
-    ()
 
 (* DNS exchanges are fronted by a dedicated client endpoint (requested on
    demand and cached): its key material seals the query, and using it as
@@ -1045,7 +934,7 @@ let publish t ~name ?dns ?ipv4 k =
             with_dns_endpoint t (function
               | Error e -> warn t "publish: dns client" (Error e)
               | Ok client -> begin
-                  let corr = fresh_corr t in
+                  let corr = Rpc.fresh_corr t.rpc in
                   match
                     Dns_service.Client.make_register ~rng:t.rng ~corr
                       ~client_cert:client.cert ~client_keys:client.keys
@@ -1069,7 +958,7 @@ let dns_lookup t ~name ?dns k =
             warn t "dns_lookup: client EphID" (Error e);
             k None
         | Ok client -> begin
-          let corr = fresh_corr t in
+          let corr = Rpc.fresh_corr t.rpc in
           match
             Dns_service.Client.make_query ~rng:t.rng ~corr
               ~client_cert:client.cert ~client_keys:client.keys ~dns_cert ~name
@@ -1121,11 +1010,10 @@ let ping t ~dst_aid ~dst_ephid k =
       with_source_endpoint t (function
         | Error e -> warn t "ping: source EphID" (Error e)
         | Ok endpoint ->
-          let ident = t.next_ping_ident in
-          t.next_ping_ident <- t.next_ping_ident + 1;
+          let ident = Rpc.fresh_ping t.rpc in
           (* The RTT clock starts at the first transmission; a reply to a
              retransmitted echo reports the total elapsed time. *)
-          Hashtbl.replace t.pending_pings ident (att.now_f (), k);
+          let t0 = att.now_f () in
           let payload =
             Icmp.to_bytes (Icmp.Echo_request { ident; data = "apna-ping" })
           in
@@ -1136,18 +1024,17 @@ let ping t ~dst_aid ~dst_ephid k =
                  ~dst_aid ~dst_ephid:(Ephid.to_bytes dst_ephid)
                  ~proto:Packet.Icmp ~payload)
           in
-          start_rpc t t.ping_rpcs (Int64.of_int ident) ~what:"ping" ~resend
-            ~on_timeout:(fun () -> Hashtbl.remove t.pending_pings ident)
-            ())
+          start_rpc t (Rpc.Ping ident) ~what:"ping" ~resend
+            ~on_reply:(fun _ -> k (att.now_f () -. t0))
+            ~on_timeout:ignore ())
 
 (* ------------------------------------------------------------------ *)
 (* Shutoff (victim side, Fig. 5) *)
 
 let request_shutoff t ~session ~evidence =
-  let conn_id = Session.conn_id session in
-  match I64_tbl.find_opt t.local_by_conn conn_id with
+  match live t (Session.conn_id session) with
   | None -> Error (Error.Rejected "unknown session")
-  | Some endpoint ->
+  | Some { local = endpoint; _ } ->
       let peer = Session.remote_cert session in
       let msg =
         Shutoff.make_request ~packet:evidence ~dst_cert:endpoint.cert
@@ -1168,22 +1055,19 @@ let local_endpoint_for t raw_ephid =
   Hashtbl.find_opt t.endpoints_by_ephid raw_ephid
 
 let handle_init t (pkt : Packet.t) ~conn_id ~(cert : Cert.t) ~seq ~sealed =
-  match require_att t with
-  | Error e -> warn t "init" (Error e)
-  | Ok att ->
-      if I64_tbl.mem t.init_in_progress conn_id then
-        (* Retransmitted Init while the serving EphID is still being
-           issued: the Accept will go out when it arrives. *)
-        ()
-      else if I64_tbl.mem t.sessions_by_conn conn_id then begin
-        (* Retransmitted Init for a live connection: re-send the cached
-           Accept verbatim (its seal must not be recomputed) and never
-           re-deliver the 0-RTT data. *)
-        match I64_tbl.find_opt t.accept_resend conn_id with
-        | Some resend -> resend ()
-        | None -> ()
-      end
-      else begin
+  match (require_att t, I64_tbl.find_opt t.conns conn_id) with
+  | Error e, _ -> warn t "init" (Error e)
+  | Ok _, Some (Serving init) ->
+      (* Retransmitted Init while the serving EphID is still being issued:
+         the Accept will go out when it arrives. *)
+      init := pkt
+  | Ok _, Some (Live c) ->
+      (* Retransmitted Init for a live connection: re-send the cached
+         Accept verbatim (its seal must not be recomputed) and never
+         re-deliver the 0-RTT data. *)
+      c.last_packet <- Some pkt;
+      Option.iter (fun resend -> resend ()) c.accept_resend
+  | Ok att, None -> begin
       match Trust.verify_cert att.trust ~now:(att.now ()) cert with
       | Error e -> warn t "init: client certificate" (Error e)
       | Ok () -> begin
@@ -1209,9 +1093,10 @@ let handle_init t (pkt : Packet.t) ~conn_id ~(cert : Cert.t) ~seq ~sealed =
                     (* §VII-A: never source traffic from a receive-only
                        EphID — answer from a fresh serving EphID and move
                        the session onto it. *)
-                    I64_tbl.replace t.init_in_progress conn_id ();
+                    let init = ref pkt in
+                    I64_tbl.replace t.conns conn_id (Serving init);
                     request_ephid_r t (fun result ->
-                        I64_tbl.remove t.init_in_progress conn_id;
+                        I64_tbl.remove t.conns conn_id;
                         match result with
                         | Error e -> warn t "init: serving EphID" (Error e)
                         | Ok serving -> begin
@@ -1222,8 +1107,10 @@ let handle_init t (pkt : Packet.t) ~conn_id ~(cert : Cert.t) ~seq ~sealed =
                         with
                         | Error e -> warn t "init: serving session" (Error e)
                         | Ok session' ->
-                            I64_tbl.replace t.sessions_by_conn conn_id session';
-                            I64_tbl.replace t.local_by_conn conn_id serving;
+                            let c =
+                              add_conn t session' serving
+                                ~last_packet:(Some !init)
+                            in
                             let seq, sealed = Session.seal session' "" in
                             let accept_frame =
                               Session.Frame.Accept
@@ -1236,7 +1123,7 @@ let handle_init t (pkt : Packet.t) ~conn_id ~(cert : Cert.t) ~seq ~sealed =
                             in
                             (* A lost Accept is recovered by the client's
                                Init retransmission hitting the cache. *)
-                            I64_tbl.replace t.accept_resend conn_id resend;
+                            c.accept_resend <- Some resend;
                             resend ();
                             if t.accept_zero_rtt then
                               Option.iter
@@ -1248,19 +1135,19 @@ let handle_init t (pkt : Packet.t) ~conn_id ~(cert : Cert.t) ~seq ~sealed =
                         end)
                   end
                   else begin
-                    I64_tbl.replace t.sessions_by_conn conn_id session;
-                    I64_tbl.replace t.local_by_conn conn_id local;
+                    ignore (add_conn t session local ~last_packet:(Some pkt));
                     Option.iter (fun d -> if d <> "" then deliver_data t session d) data0
                   end
             end
         end
-      end
+    end
 
 let handle_accept t ~conn_id ~(cert : Cert.t) ~seq:_ ~sealed:_ =
-  match (I64_tbl.find_opt t.sessions_by_conn conn_id, require_att t) with
+  match (live t conn_id, require_att t) with
   | None, _ -> Logs.warn (fun m -> m "%s: accept for unknown conn" t.host_name)
   | _, Error e -> warn t "accept" (Error e)
-  | Some session, Ok att ->
+  | Some c, Ok att ->
+      let session = c.session in
       if Session.established session then begin
         (* Duplicate (retransmitted) Accept: the first one already rekeyed
            this session; rekeying again would reset the replay window and
@@ -1278,8 +1165,8 @@ let handle_accept t ~conn_id ~(cert : Cert.t) ~seq:_ ~sealed:_ =
             | Error e -> warn t "accept: rekey" (Error e)
             | Ok () ->
                 (* Cancel the Init retransmission loop. *)
-                settle_rpc t.accept_waits conn_id;
-                flush_queued t session
+                Rpc.settle t.rpc (Rpc.Accept conn_id);
+                flush_queued t c
           end
       end
 
@@ -1288,15 +1175,13 @@ let handle_accept t ~conn_id ~(cert : Cert.t) ~seq:_ ~sealed:_ =
    by its certificate already being the session's remote and answered by
    re-sending the cached ack verbatim. *)
 let handle_rekey t ~conn_id ~(cert : Cert.t) ~seq ~sealed =
-  match (I64_tbl.find_opt t.sessions_by_conn conn_id, require_att t) with
+  match (live t conn_id, require_att t) with
   | None, _ -> Logs.warn (fun m -> m "%s: rekey for unknown conn" t.host_name)
   | _, Error e -> warn t "rekey" (Error e)
-  | Some session, Ok att ->
-      if Cert.equal (Session.remote_cert session) cert then begin
-        match I64_tbl.find_opt t.rekey_ack_resend conn_id with
-        | Some resend -> resend ()
-        | None -> ()
-      end
+  | Some c, Ok att ->
+      let session = c.session in
+      if Cert.equal (Session.remote_cert session) cert then
+        Option.iter (fun resend -> resend ()) c.rekey_ack_resend
       else begin
         match Trust.verify_cert att.trust ~now:(att.now ()) cert with
         | Error e -> warn t "rekey: certificate" (Error e)
@@ -1308,64 +1193,57 @@ let handle_rekey t ~conn_id ~(cert : Cert.t) ~seq ~sealed =
             | Ok _ -> begin
                 match Session.rekey session ~remote_cert:cert with
                 | Error e -> warn t "rekey: apply" (Error e)
-                | Ok () -> begin
-                    match I64_tbl.find_opt t.local_by_conn conn_id with
-                    | None -> ()
-                    | Some local ->
-                        let aseq, asealed = Session.seal session "" in
-                        let ack =
-                          Session.Frame.Rekey_ack
-                            { conn_id; seq = aseq; sealed = asealed }
-                        in
-                        let resend () =
-                          warn t "rekey: ack"
-                            (send_frame t ~endpoint:local ~remote:cert ack)
-                        in
-                        I64_tbl.replace t.rekey_ack_resend conn_id resend;
-                        resend ();
-                        (* A frame of ours died on the peer's old EphID:
-                           one bounded retransmission at its new address. *)
-                        (match I64_tbl.find_opt t.pending_retx conn_id with
-                        | Some payload ->
-                            I64_tbl.remove t.pending_retx conn_id;
-                            warn t "rekey: retransmit"
-                              (send_packet t ~src_ephid:(ephid_raw local)
-                                 ~dst_aid:cert.aid
-                                 ~dst_ephid:(Ephid.to_bytes cert.ephid)
-                                 ~proto:Packet.Data ~payload)
-                        | None -> ());
-                        (* The peer renewing is a hint our own side may be
-                           near the same horizon. *)
-                        maybe_migrate t session
-                  end
+                | Ok () ->
+                    let local = c.local in
+                    let aseq, asealed = Session.seal session "" in
+                    let ack =
+                      Session.Frame.Rekey_ack
+                        { conn_id; seq = aseq; sealed = asealed }
+                    in
+                    let resend () =
+                      warn t "rekey: ack"
+                        (send_frame t ~endpoint:local ~remote:cert ack)
+                    in
+                    c.rekey_ack_resend <- Some resend;
+                    resend ();
+                    (* A frame of ours died on the peer's old EphID: one
+                       bounded retransmission at its new address. *)
+                    Option.iter
+                      (fun payload ->
+                        c.pending_retx <- None;
+                        warn t "rekey: retransmit"
+                          (send_packet t ~src_ephid:(ephid_raw local)
+                             ~dst_aid:cert.aid
+                             ~dst_ephid:(Ephid.to_bytes cert.ephid)
+                             ~proto:Packet.Data ~payload))
+                      c.pending_retx;
+                    (* The peer renewing is a hint our own side may be
+                       near the same horizon. *)
+                    maybe_migrate t c
               end
           end
       end
 
 let handle_rekey_ack t ~conn_id ~seq ~sealed =
-  match I64_tbl.find_opt t.sessions_by_conn conn_id with
+  match live t conn_id with
   | None -> ()
-  | Some session -> begin
+  | Some c -> begin
       (* Sealed under the post-migration key: proof the peer applied it. *)
-      match open_sealed_counted session ~seq ~sealed with
+      match open_sealed_counted c.session ~seq ~sealed with
       | Error e -> warn t "rekey ack" (Error e)
       | Ok _ ->
-          settle_rpc t.rekey_rpcs conn_id;
-          I64_tbl.remove t.migrating conn_id
+          Rpc.settle t.rpc (Rpc.Rekey conn_id);
+          c.migrating <- false
     end
 
-let handle_data_frame t ~conn_id ~seq ~sealed =
-  match I64_tbl.find_opt t.sessions_by_conn conn_id with
-  | None -> Logs.warn (fun m -> m "%s: data for unknown conn" t.host_name)
-  | Some session -> begin
-      match open_sealed_counted session ~seq ~sealed with
-      | Error e -> warn t "data" (Error e)
-      | Ok data ->
-          deliver_data t session data;
-          (* Receive-path renewal check keeps a mostly-listening endpoint
-             (a server) migrating on the client's traffic. *)
-          maybe_migrate t session
-    end
+let handle_data_frame t c ~seq ~sealed =
+  match open_sealed_counted c.session ~seq ~sealed with
+  | Error e -> warn t "data" (Error e)
+  | Ok data ->
+      deliver_data t c.session data;
+      (* Receive-path renewal check keeps a mostly-listening endpoint (a
+         server) migrating on the client's traffic. *)
+      maybe_migrate t c
 
 (* ---- reactive recovery (ICMP-driven) ---- *)
 
@@ -1418,49 +1296,41 @@ let try_recover t (pkt : Packet.t) ~reason ~quoted =
   match (conn_of_quoted quoted, t.att) with
   | None, _ | _, None -> ()
   | Some conn_id, Some att -> begin
-      match I64_tbl.find_opt t.sessions_by_conn conn_id with
+      match live t conn_id with
       | None -> ()
-      | Some session ->
+      | Some c ->
           let dead_raw = pkt.header.dst_ephid in
           if Hashtbl.mem t.shutoff_inhibited dead_raw then
             (* Shut off: recovering would defeat the revocation (Fig. 5). *)
             ()
           else if Addr.aid_equal pkt.header.src_aid att.aid then begin
             invalidate_endpoint t dead_raw;
-            let recently =
-              match I64_tbl.find_opt t.recovery_last conn_id with
-              | Some ts -> att.now_f () -. ts < recovery_cooldown_s
-              | None -> false
-            in
-            if not recently then begin
-              I64_tbl.replace t.recovery_last conn_id (att.now_f ());
+            if att.now_f () -. c.last_recovery >= recovery_cooldown_s then begin
+              c.last_recovery <- att.now_f ();
               t.recoveries <- t.recoveries + 1;
               M.Counter.incr m_recoveries;
               let retransmit (ep : endpoint) =
-                let remote = Session.remote_cert session in
+                let remote = Session.remote_cert c.session in
                 warn t "recover: retransmit"
                   (send_packet t ~src_ephid:(ephid_raw ep)
                      ~dst_aid:remote.Cert.aid
                      ~dst_ephid:(Ephid.to_bytes remote.Cert.ephid)
                      ~proto:Packet.Data ~payload:quoted)
               in
-              let bound = I64_tbl.find_opt t.local_by_conn conn_id in
-              match bound with
-              | Some ep when String.equal (ephid_raw ep) dead_raw ->
-                  (* The session's own binding died: migrate, then send the
-                     quoted frame once from the fresh EphID. The peer opens
-                     it through the grace window. *)
-                  migrate_session t session
-                    ~reason:(Icmp.reason_label reason) ~and_then:retransmit ()
-              | Some ep when still_valid t ep ->
-                  (* A per-packet source died but the binding is alive:
-                     retransmit from it (momentary per-flow degradation). *)
-                  retransmit ep
-              | _ -> ()
+              if String.equal (ephid_raw c.local) dead_raw then
+                (* The session's own binding died: migrate, then send the
+                   quoted frame once from the fresh EphID. The peer opens
+                   it through the grace window. *)
+                migrate_session t c ~reason:(Icmp.reason_label reason)
+                  ~and_then:retransmit ()
+              else if still_valid t c.local then
+                (* A per-packet source died but the binding is alive:
+                   retransmit from it (momentary per-flow degradation). *)
+                retransmit c.local
             end
           end
-          else if not (I64_tbl.mem t.pending_retx conn_id) then
-            I64_tbl.replace t.pending_retx conn_id quoted
+          else if Option.is_none c.pending_retx then
+            c.pending_retx <- Some quoted
     end
 
 let rec handle_icmp t (pkt : Packet.t) =
@@ -1494,14 +1364,8 @@ let rec handle_icmp t (pkt : Packet.t) =
                ~proto:Packet.Icmp
                ~payload:(Icmp.to_bytes (Icmp.Echo_reply { ident; data })))
     end
-  | Ok (Icmp.Echo_reply { ident; _ }) -> begin
-      match (Hashtbl.find_opt t.pending_pings ident, require_att t) with
-      | Some (t0, k), Ok att ->
-          Hashtbl.remove t.pending_pings ident;
-          settle_rpc t.ping_rpcs (Int64.of_int ident);
-          k (att.now_f () -. t0)
-      | _ -> ()
-    end
+  | Ok (Icmp.Echo_reply { ident; _ }) ->
+      ignore (Rpc.reply t.rpc (Rpc.Ping ident) Echo)
   | Ok (Icmp.Unreachable { reason; quoted }) -> begin
       record_unreachable t reason;
       match reason with
@@ -1517,11 +1381,12 @@ let deliver t (pkt : Packet.t) =
       match Msgs.of_bytes pkt.payload with
       | Error e -> warn t "control" (Error e)
       | Ok (Msgs.Ephid_reply { corr; _ } as msg) ->
-          dispatch_reply t ~what:"EphID" corr msg
+          Rpc.dispatch_reply t.rpc ~what:"EphID" (Rpc.Corr corr) (Control msg)
       | Ok (Msgs.Ephid_batch_reply { corr; _ } as msg) ->
-          dispatch_reply t ~what:"EphID batch" corr msg
+          Rpc.dispatch_reply t.rpc ~what:"EphID batch" (Rpc.Corr corr)
+            (Control msg)
       | Ok (Msgs.Dns_reply { corr; _ } as msg) ->
-          dispatch_reply t ~what:"DNS" corr msg
+          Rpc.dispatch_reply t.rpc ~what:"DNS" (Rpc.Corr corr) (Control msg)
       | Ok (Msgs.Revocation_notice { ephid }) -> begin
           match Ephid.of_bytes ephid with
           | Error e -> warn t "revocation notice" (Error (Error.Malformed e))
@@ -1553,13 +1418,16 @@ let deliver t (pkt : Packet.t) =
       match Session.Frame.of_bytes pkt.payload with
       | Error e -> warn t "frame" (Error e)
       | Ok (Session.Frame.Init { conn_id; cert; seq; sealed }) ->
-          I64_tbl.replace t.last_packet_by_conn conn_id pkt;
           handle_init t pkt ~conn_id ~cert ~seq ~sealed
       | Ok (Session.Frame.Accept { conn_id; cert; seq; sealed }) ->
           handle_accept t ~conn_id ~cert ~seq ~sealed
-      | Ok (Session.Frame.Data { conn_id; seq; sealed }) ->
-          I64_tbl.replace t.last_packet_by_conn conn_id pkt;
-          handle_data_frame t ~conn_id ~seq ~sealed
+      | Ok (Session.Frame.Data { conn_id; seq; sealed }) -> begin
+          match live t conn_id with
+          | None -> Logs.warn (fun m -> m "%s: data for unknown conn" t.host_name)
+          | Some c ->
+              c.last_packet <- Some pkt;
+              handle_data_frame t c ~seq ~sealed
+        end
       | Ok (Session.Frame.Fin { conn_id; seq; sealed }) ->
           handle_fin t ~conn_id ~seq ~sealed
       | Ok (Session.Frame.Rekey { conn_id; cert; seq; sealed }) ->

@@ -127,7 +127,9 @@ val send : t -> Session.t -> string -> (unit, Error.t) result
     EphID from the prefetched pool (falling back to the session's bound
     endpoint — per-flow degradation — during an issuance brownout). Sending
     also runs the proactive renewal check: once the session's source EphID
-    is inside the renewal margin, a migration starts in the background. *)
+    is inside the renewal margin, a migration starts in the background.
+    Before the server's [Accept] the data is queued and flushed when it
+    lands; a closed or unknown session is rejected. *)
 
 (** {2 Session survivability}
 
@@ -256,5 +258,10 @@ val rpc_timeouts : t -> int
 (** Round trips abandoned with [Error.Timeout]. *)
 
 val pending_rpc_count : t -> int
-(** In-flight round trips (issuance/DNS, awaited Accepts, pings) — 0 once
-    every continuation has fired. *)
+(** In-flight round trips (issuance/DNS, awaited Accepts, pings, Rekeys) —
+    0 once every continuation has fired. *)
+
+val inhibited_ephids : t -> int
+(** EphIDs pinned against ICMP-driven recovery (released with
+    {!release_endpoint} or named in a shutoff notice) — count probe for the
+    bounded-state regression tests; closing a session pins nothing. *)

@@ -328,6 +328,31 @@ let lifecycle_tests =
           (List.map snd (Host.received server));
         Alcotest.(check (list string)) "client reply" [ "srv:late" ]
           (List.map snd (Host.received client)));
+    Alcotest.test_case "late frame after close leaves no shutoff evidence"
+      `Quick (fun () ->
+        let net, alice, bob = make_world () in
+        let bob_ep = get_endpoint bob in
+        Network.run net;
+        let bob_ep = Option.get !bob_ep in
+        let session = ref None in
+        Host.connect alice ~remote:bob_ep.cert ~data0:"hi" (fun s -> session := Some s);
+        Network.run net;
+        let s = Option.get !session in
+        ignore (Host.send alice s "data");
+        Network.run net;
+        let bob_s = List.hd (Host.sessions bob) in
+        let captured = Option.get (Host.last_packet bob bob_s) in
+        ok_or_fail "close" (Host.close bob bob_s);
+        Network.run net;
+        Alcotest.(check bool) "forgotten on close" true
+          (Host.last_packet bob bob_s = None);
+        (* A late duplicate of the session's data frame arrives after the
+           close: it must not resurrect evidence for the dead session. *)
+        Host.deliver bob captured;
+        Alcotest.(check bool) "no evidence for a closed session" true
+          (Host.last_packet bob bob_s = None);
+        Alcotest.(check int) "no session revived" 0
+          (List.length (Host.sessions bob)));
   ]
 
 let () =

@@ -389,6 +389,34 @@ let bounds_tests =
           (List.for_all
              (fun r -> r = Icmp.No_route)
              (Host.unreachables ringo)));
+    Alcotest.test_case "connect/close cycles leave the inhibition set flat"
+      `Quick (fun () ->
+        (* Closing a per-flow session releases its EphID but pins nothing:
+           no session is bound to it any more. Only an explicit release or
+           a shutoff notice grows the set. *)
+        let net, alice, bob = make_world ~seed:"survival-inhibit-flat" () in
+        let before_alice = Host.inhibited_ephids alice in
+        let before_bob = Host.inhibited_ephids bob in
+        let n = 20 in
+        for i = 1 to n do
+          let bep = ref None in
+          Host.request_ephid bob (fun e -> bep := Some e);
+          Network.run net;
+          let session = ref None in
+          Host.connect alice ~remote:(Option.get !bep).Host.cert
+            ~data0:(Printf.sprintf "c%d" i) (fun s -> session := Some s);
+          Network.run net;
+          ok_or_fail "close" (Host.close alice (Option.get !session));
+          Network.run net
+        done;
+        Alcotest.(check int) "every cycle delivered" n
+          (List.length (Host.received bob));
+        Alcotest.(check int) "no session left" 0
+          (List.length (Host.sessions alice) + List.length (Host.sessions bob));
+        Alcotest.(check int) "alice's set unchanged" before_alice
+          (Host.inhibited_ephids alice);
+        Alcotest.(check int) "bob's set unchanged" before_bob
+          (Host.inhibited_ephids bob));
   ]
 
 let () =

@@ -2,6 +2,7 @@
    and the statistics accumulators. *)
 
 open Apna_sim
+module Accum = Apna_obs.Accum
 
 let qtest ?(count = 200) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
@@ -155,39 +156,39 @@ let rng_tests =
 let stats_tests =
   [
     Alcotest.test_case "acc mean and stddev" `Quick (fun () ->
-        let acc = Stats.Acc.create () in
-        List.iter (Stats.Acc.add acc) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-        Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.Acc.mean acc);
-        Alcotest.(check (float 1e-6)) "stddev" 2.13809 (Stats.Acc.stddev acc);
-        Alcotest.(check (float 1e-9)) "min" 2.0 (Stats.Acc.min acc);
-        Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.Acc.max acc);
-        Alcotest.(check int) "count" 8 (Stats.Acc.count acc));
+        let acc = Accum.Acc.create () in
+        List.iter (Accum.Acc.add acc) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
+        Alcotest.(check (float 1e-9)) "mean" 5.0 (Accum.Acc.mean acc);
+        Alcotest.(check (float 1e-6)) "stddev" 2.13809 (Accum.Acc.stddev acc);
+        Alcotest.(check (float 1e-9)) "min" 2.0 (Accum.Acc.min acc);
+        Alcotest.(check (float 1e-9)) "max" 9.0 (Accum.Acc.max acc);
+        Alcotest.(check int) "count" 8 (Accum.Acc.count acc));
     Alcotest.test_case "empty acc yields nan mean" `Quick (fun () ->
-        let acc = Stats.Acc.create () in
-        Alcotest.(check bool) "nan" true (Float.is_nan (Stats.Acc.mean acc)));
+        let acc = Accum.Acc.create () in
+        Alcotest.(check bool) "nan" true (Float.is_nan (Accum.Acc.mean acc)));
     Alcotest.test_case "histogram percentiles" `Quick (fun () ->
-        let h = Stats.Hist.create ~buckets:1000 ~lo:0.0 ~hi:100.0 () in
+        let h = Accum.Hist.create ~buckets:1000 ~lo:0.0 ~hi:100.0 () in
         for i = 1 to 100 do
-          Stats.Hist.add h (float_of_int i)
+          Accum.Hist.add h (float_of_int i)
         done;
-        let p50 = Stats.Hist.percentile h 0.5 in
-        let p99 = Stats.Hist.percentile h 0.99 in
+        let p50 = Accum.Hist.percentile h 0.5 in
+        let p99 = Accum.Hist.percentile h 0.99 in
         Alcotest.(check bool) "p50 near 50" true (abs_float (p50 -. 50.0) < 2.0);
         Alcotest.(check bool) "p99 near 99" true (abs_float (p99 -. 99.0) < 2.0));
     Alcotest.test_case "histogram clamps out-of-range" `Quick (fun () ->
-        let h = Stats.Hist.create ~buckets:10 ~lo:0.0 ~hi:10.0 () in
-        Stats.Hist.add h (-5.0);
-        Stats.Hist.add h 50.0;
-        Alcotest.(check int) "both counted" 2 (Stats.Hist.count h));
+        let h = Accum.Hist.create ~buckets:10 ~lo:0.0 ~hi:10.0 () in
+        Accum.Hist.add h (-5.0);
+        Accum.Hist.add h 50.0;
+        Alcotest.(check int) "both counted" 2 (Accum.Hist.count h));
     Alcotest.test_case "empty histogram percentile is nan" `Quick (fun () ->
-        let h = Stats.Hist.create ~lo:0.0 ~hi:1.0 () in
-        Alcotest.(check bool) "nan" true (Float.is_nan (Stats.Hist.percentile h 0.5)));
+        let h = Accum.Hist.create ~lo:0.0 ~hi:1.0 () in
+        Alcotest.(check bool) "nan" true (Float.is_nan (Accum.Hist.percentile h 0.5)));
     Alcotest.test_case "single-sample percentiles" `Quick (fun () ->
-        let h = Stats.Hist.create ~buckets:10 ~lo:0.0 ~hi:10.0 () in
-        Stats.Hist.add h 4.0;
+        let h = Accum.Hist.create ~buckets:10 ~lo:0.0 ~hi:10.0 () in
+        Accum.Hist.add h 4.0;
         List.iter
           (fun p ->
-            let v = Stats.Hist.percentile h p in
+            let v = Accum.Hist.percentile h p in
             Alcotest.(check bool)
               (Printf.sprintf "p%.0f in sample's bucket" (p *. 100.0))
               true
@@ -195,11 +196,11 @@ let stats_tests =
           [ 0.01; 0.5; 1.0 ]);
     Alcotest.test_case "clamped samples pin percentiles to the edges" `Quick
       (fun () ->
-        let h = Stats.Hist.create ~buckets:10 ~lo:0.0 ~hi:10.0 () in
-        Stats.Hist.add h (-100.0);
-        Stats.Hist.add h 1000.0;
-        let p0 = Stats.Hist.percentile h 0.01 in
-        let p99 = Stats.Hist.percentile h 0.99 in
+        let h = Accum.Hist.create ~buckets:10 ~lo:0.0 ~hi:10.0 () in
+        Accum.Hist.add h (-100.0);
+        Accum.Hist.add h 1000.0;
+        let p0 = Accum.Hist.percentile h 0.01 in
+        let p99 = Accum.Hist.percentile h 0.99 in
         Alcotest.(check bool) "low edge" true (0.0 <= p0 && p0 <= 1.0);
         Alcotest.(check bool) "high edge" true (9.0 <= p99 && p99 <= 10.0));
     qtest "percentiles are monotone in p" ~count:200
@@ -208,15 +209,15 @@ let stats_tests =
           (list_size (int_range 1 50) (float_range (-5.0) 15.0))
           (pair (float_range 0.0 1.0) (float_range 0.0 1.0)))
       (fun (samples, (p1, p2)) ->
-        let h = Stats.Hist.create ~buckets:16 ~lo:0.0 ~hi:10.0 () in
-        List.iter (Stats.Hist.add h) samples;
+        let h = Accum.Hist.create ~buckets:16 ~lo:0.0 ~hi:10.0 () in
+        List.iter (Accum.Hist.add h) samples;
         let lo = Float.min p1 p2 and hi = Float.max p1 p2 in
-        Stats.Hist.percentile h lo <= Stats.Hist.percentile h hi);
+        Accum.Hist.percentile h lo <= Accum.Hist.percentile h hi);
     Alcotest.test_case "counter" `Quick (fun () ->
-        let c = Stats.Counter.create () in
-        Stats.Counter.incr c;
-        Stats.Counter.incr ~by:5 c;
-        Alcotest.(check int) "six" 6 (Stats.Counter.value c));
+        let c = Accum.Counter.create () in
+        Accum.Counter.incr c;
+        Accum.Counter.incr ~by:5 c;
+        Alcotest.(check int) "six" 6 (Accum.Counter.value c));
   ]
 
 let () =
